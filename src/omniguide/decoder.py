@@ -16,7 +16,7 @@ prefill and generate timings mirror the two phases of cached inference.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -149,11 +149,17 @@ def _timed_step(session: Session, token: int) -> tuple[np.ndarray, float]:
 
 
 def _gather(pool, work: dict):
-    """Run branch calls concurrently and join before returning."""
+    """Run branch calls concurrently and join them all before returning.
+
+    Every call finishes before the first failure (in branch order) is
+    raised, so no branch is still using its session when the caller goes on
+    to close it.
+    """
     if len(work) == 1:
         name, fn = next(iter(work.items()))
         return {name: fn()}
     futures = {name: pool.submit(fn) for name, fn in work.items()}
+    wait(futures.values())
     return {name: fut.result() for name, fut in futures.items()}
 
 
@@ -186,19 +192,21 @@ def decode(job: DecodeJob, *, stage: str | None = None, rng=None) -> DecodeResul
     pool = ThreadPoolExecutor(max_workers=max(len(job.branches), 1))
     try:
         try:
-            def _open(src: LogitSource, prompt: PromptInput):
+            def _open(name: str, src: LogitSource, prompt: PromptInput):
                 t0 = time.perf_counter()
-                sess = src.open(prompt)
+                # Registered at once, so the finally below closes it even
+                # when a sibling branch fails to open.
+                sess = sessions[name] = src.open(prompt)
                 z = sess.logits()
-                return sess, z, time.perf_counter() - t0
+                return z, time.perf_counter() - t0
 
             opened = _gather(
-                pool, {name: (lambda sp=sp: _open(*sp)) for name, sp in prompts.items()}
+                pool,
+                {name: (lambda n=name, sp=sp: _open(n, *sp)) for name, sp in prompts.items()},
             )
             z: dict[str, np.ndarray] = {}
             lat: dict[str, float] = {}
-            for name, (sess, logits, dt) in opened.items():
-                sessions[name] = sess
+            for name, (logits, dt) in opened.items():
                 z[name] = logits
                 lat[name] = dt
                 branch_prefill[name] = dt
@@ -240,8 +248,8 @@ def decode(job: DecodeJob, *, stage: str | None = None, rng=None) -> DecodeResul
                 stepped = _gather(
                     pool,
                     {
-                        name: (lambda s=sess, tok=token: _timed_step(s, tok))
-                        for name, sess in sessions.items()
+                        name: (lambda s=sessions[name], tok=token: _timed_step(s, tok))
+                        for name in opened
                     },
                 )
                 for name, (logits, dt) in stepped.items():
@@ -257,7 +265,7 @@ def decode(job: DecodeJob, *, stage: str | None = None, rng=None) -> DecodeResul
                 sess.close()
             except Exception:
                 pass
-        pool.shutdown(wait=False)
+        pool.shutdown(wait=True)
 
     total = time.perf_counter() - t_start
     if finish == "error" and not tokens:

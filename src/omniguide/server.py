@@ -1,17 +1,22 @@
 """A test-fixture inference server speaking the engine's wire protocol.
 
-Serves a toy model over HTTP/JSON with configurable artificial latency, so
+Serves a toy model over HTTP with configurable artificial latency, so
 client integration and latency-structure experiments run deterministically
-on any machine. Protocol v1:
+on any machine. Protocol "2":
 
-- GET  /v1/info                -> model identity, vocabulary, context limit
-- POST /v1/open  {prompt_tokens, omni_payload?}        -> session_id, logits
-- POST /v1/step  {session_id, token_id}                -> logits
-- POST /v1/close {session_id}                          -> ok
+- GET  /v1/info                                   -> JSON: model identity,
+                                                     vocabulary, context limit
+- POST /v1/open  {prompt_tokens, omni_payload?}   -> logits; X-Session-Id,
+                                                     X-Context-Length headers
+- POST /v1/step  {session_id, token_id}           -> logits; X-Context-Length
+- POST /v1/close {session_id}                     -> JSON: ok
 
-Every message carries protocol_version "1". Errors are JSON bodies
-{"error": {"code", "message"}} with codes: malformed, unsupported_protocol,
-bad_token, capacity, session_not_found, conflict.
+Request bodies are JSON objects carrying protocol_version "2"; the omni
+payload travels as {"data_b64", "media_type"}. Logits come back as
+application/octet-stream holding exactly 8*V bytes of little-endian float64,
+so a remote session is bit-identical to in-process evaluation. Errors are
+application/json bodies {"error": {"code", "message"}} with codes: malformed,
+unsupported_protocol, bad_token, capacity, session_not_found, conflict.
 
 A single global compute lock serializes model evaluation plus injected
 latency across all connections, imitating one accelerator: concurrent
@@ -33,10 +38,12 @@ import uuid
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
+
 from .errors import CapacityError, TokenRangeError
 from .sources import OmniPayload, PromptInput, ToyModel
 
-PROTOCOL_VERSION = "1"
+PROTOCOL_VERSION = "2"
 
 
 @dataclass(frozen=True)
@@ -65,6 +72,10 @@ class LatencyModel:
 
     def step_delay(self) -> float:
         return self.per_step
+
+
+def _logit_bytes(logits) -> bytes:
+    return np.ascontiguousarray(logits, "<f8").tobytes()
 
 
 class _ApiError(Exception):
@@ -118,13 +129,17 @@ class ModelServer:
             def log_message(self, fmt, *args):  # keep test output quiet
                 pass
 
-            def _respond(self, status: int, body: dict) -> None:
-                data = json.dumps(body).encode("utf-8")
+            def _send(self, status: int, content_type: str, data: bytes, headers=()) -> None:
                 self.send_response(status)
-                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Type", content_type)
                 self.send_header("Content-Length", str(len(data)))
+                for name, value in headers:
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(data)
+
+            def _respond(self, status: int, body: dict) -> None:
+                self._send(status, "application/json", json.dumps(body).encode("utf-8"))
 
             def _fail(self, err: _ApiError) -> None:
                 self._respond(
@@ -146,15 +161,16 @@ class ModelServer:
             def do_POST(self) -> None:
                 try:
                     body = self._read_body()
+                    if self.path == "/v1/close":
+                        self._respond(200, server._handle_close(body))
+                        return
                     if self.path == "/v1/open":
-                        resp = server._handle_open(body)
+                        headers, data = server._handle_open(body)
                     elif self.path == "/v1/step":
-                        resp = server._handle_step(body)
-                    elif self.path == "/v1/close":
-                        resp = server._handle_close(body)
+                        headers, data = server._handle_step(body)
                     else:
                         raise _ApiError(404, "malformed", f"unknown path {self.path}")
-                    self._respond(200, resp)
+                    self._send(200, "application/octet-stream", data, headers)
                 except _ApiError as err:
                     self._fail(err)
 
@@ -195,7 +211,10 @@ class ModelServer:
             "tokens": list(vocab.tokens),
         }
 
-    def _handle_open(self, body: dict) -> dict:
+    # Open and step return (response headers, response body), the body being
+    # the logits as raw little-endian float64.
+
+    def _handle_open(self, body: dict) -> tuple[list, bytes]:
         tokens = body.get("prompt_tokens")
         if not isinstance(tokens, list) or not all(isinstance(t, int) for t in tokens):
             raise _ApiError(400, "malformed", "prompt_tokens must be a list of integers")
@@ -231,12 +250,8 @@ class ModelServer:
         sid = uuid.uuid4().hex
         with self._registry_lock:
             self._sessions[sid] = _SessionSlot(session)
-        return {
-            "protocol_version": PROTOCOL_VERSION,
-            "session_id": sid,
-            "context_length": session.context_length,
-            "logits": [float(x) for x in logits],
-        }
+        headers = [("X-Session-Id", sid), ("X-Context-Length", str(session.context_length))]
+        return headers, _logit_bytes(logits)
 
     def _get_slot(self, body: dict) -> tuple[str, _SessionSlot]:
         sid = body.get("session_id")
@@ -248,7 +263,7 @@ class ModelServer:
             raise _ApiError(404, "session_not_found", f"no live session {sid!r}")
         return sid, slot
 
-    def _handle_step(self, body: dict) -> dict:
+    def _handle_step(self, body: dict) -> tuple[list, bytes]:
         _, slot = self._get_slot(body)
         token = body.get("token_id")
         if not isinstance(token, int):
@@ -264,11 +279,8 @@ class ModelServer:
                 except CapacityError as exc:
                     raise _ApiError(413, "capacity", str(exc))
                 time.sleep(self.latency.step_delay())
-            return {
-                "protocol_version": PROTOCOL_VERSION,
-                "context_length": slot.session.context_length,
-                "logits": [float(x) for x in logits],
-            }
+            headers = [("X-Context-Length", str(slot.session.context_length))]
+            return headers, _logit_bytes(logits)
         finally:
             slot.lock.release()
 

@@ -5,9 +5,9 @@ import signal
 import subprocess
 import sys
 import time
+import urllib.request
 
 import pytest
-import requests
 import yaml
 
 from omniguide import ConfigError, load_config, read_traces
@@ -435,8 +435,9 @@ class TestServeCommand:
                 time.sleep(0.05)
             assert port_file.exists(), "server never wrote its port file"
             port = int(port_file.read_text().strip())
-            info = requests.get(f"http://127.0.0.1:{port}/v1/info", timeout=5).json()
-            assert info["protocol_version"] == "1"
+            with urllib.request.urlopen(f"http://127.0.0.1:{port}/v1/info", timeout=5) as resp:
+                info = json.load(resp)
+            assert info["protocol_version"] == "2"
             proc.send_signal(signal.SIGTERM)
             out, _ = proc.communicate(timeout=10)
             assert proc.returncode == 0

@@ -1,10 +1,11 @@
 import base64
+import http.client
+import json
 import threading
 import time
 
 import numpy as np
 import pytest
-import requests
 
 from omniguide import (
     CapacityError,
@@ -41,15 +42,40 @@ def server():
     srv.stop()
 
 
+class Reply:
+    def __init__(self, resp: http.client.HTTPResponse) -> None:
+        self.status_code = resp.status
+        self.headers = resp.headers
+        self.content = resp.read()
+
+    def json(self):
+        return json.loads(self.content)
+
+    def logits(self) -> np.ndarray:
+        assert self.headers["Content-Type"] == "application/octet-stream"
+        return np.frombuffer(self.content, dtype="<f8")
+
+
+def request(address, method, path, body: bytes | None = None, timeout=5.0) -> Reply:
+    """One request on a fresh connection to (host, port)."""
+    conn = http.client.HTTPConnection(*address, timeout=timeout)
+    try:
+        conn.request(method, path, body)
+        return Reply(conn.getresponse())
+    finally:
+        conn.close()
+
+
 def post(srv, op, body, **extra):
     payload = {"protocol_version": PROTOCOL_VERSION, **body, **extra}
-    return requests.post(f"{srv.endpoint}/v1/{op}", json=payload, timeout=5)
+    return request(srv.address, "POST", f"/v1/{op}", json.dumps(payload).encode())
 
 
 class TestHandshake:
     def test_info_publishes_identity(self, server):
-        resp = requests.get(f"{server.endpoint}/v1/info", timeout=5)
+        resp = request(server.address, "GET", "/v1/info")
         assert resp.status_code == 200
+        assert resp.headers["Content-Type"] == "application/json"
         info = resp.json()
         vocab = server.model.vocabulary
         assert info["protocol_version"] == PROTOCOL_VERSION
@@ -142,7 +168,7 @@ class TestErrorCodes:
         assert resp.json()["error"]["code"] == "session_not_found"
 
     def test_bad_token_code(self, server):
-        sid = post(server, "open", {"prompt_tokens": [0]}).json()["session_id"]
+        sid = post(server, "open", {"prompt_tokens": [0]}).headers["X-Session-Id"]
         resp = post(server, "step", {"session_id": sid, "token_id": 99})
         assert resp.status_code == 400
         assert resp.json()["error"]["code"] == "bad_token"
@@ -154,9 +180,7 @@ class TestErrorCodes:
 
     def test_malformed_codes(self, server):
         # Non-JSON body.
-        resp = requests.post(
-            f"{server.endpoint}/v1/open", data=b"not json", timeout=5
-        )
+        resp = request(server.address, "POST", "/v1/open", b"not json")
         assert resp.status_code == 400
         assert resp.json()["error"]["code"] == "malformed"
         # Wrong field type.
@@ -177,12 +201,10 @@ class TestErrorCodes:
         assert resp.status_code == 404
 
     def test_unsupported_protocol_code(self, server):
-        resp = requests.post(
-            f"{server.endpoint}/v1/open",
-            json={"protocol_version": "2", "prompt_tokens": [0]},
-            timeout=5,
-        )
+        # A peer still speaking protocol "1" is refused.
+        resp = post(server, "open", {"prompt_tokens": [0]}, protocol_version="1")
         assert resp.status_code == 400
+        assert resp.headers["Content-Type"] == "application/json"
         assert resp.json()["error"]["code"] == "unsupported_protocol"
 
     def test_client_maps_codes_to_engine_errors(self, server):
@@ -199,7 +221,7 @@ class TestConcurrency:
     def test_concurrent_steps_on_one_session_conflict(self):
         srv = serve(parse_toy_spec(SPEC), LatencyModel(per_step=0.3))
         try:
-            sid = post(srv, "open", {"prompt_tokens": [0]}).json()["session_id"]
+            sid = post(srv, "open", {"prompt_tokens": [0]}).headers["X-Session-Id"]
             statuses = []
 
             def hit():
@@ -284,7 +306,7 @@ class TestLifecycle:
 
     def test_graceful_stop_drains_in_flight_requests(self):
         srv = serve(parse_toy_spec(SPEC), LatencyModel(per_step=0.25))
-        sid = post(srv, "open", {"prompt_tokens": [0]}).json()["session_id"]
+        sid = post(srv, "open", {"prompt_tokens": [0]}).headers["X-Session-Id"]
         outcome = {}
 
         def slow_step():
@@ -293,19 +315,19 @@ class TestLifecycle:
         worker = threading.Thread(target=slow_step)
         worker.start()
         time.sleep(0.05)
-        endpoint = srv.endpoint
+        address = srv.address
         srv.stop()  # must wait for the in-flight step
         worker.join()
         assert outcome["resp"].status_code == 200
-        with pytest.raises(requests.ConnectionError):
-            requests.get(f"{endpoint}/v1/info", timeout=1)
+        with pytest.raises(ConnectionError):
+            request(address, "GET", "/v1/info", timeout=1)
 
     def test_context_manager_stops_server(self):
         with serve(parse_toy_spec(SPEC), FAST) as srv:
-            endpoint = srv.endpoint
-            assert requests.get(f"{endpoint}/v1/info", timeout=5).status_code == 200
-        with pytest.raises(requests.ConnectionError):
-            requests.get(f"{endpoint}/v1/info", timeout=1)
+            address = srv.address
+            assert request(address, "GET", "/v1/info").status_code == 200
+        with pytest.raises(ConnectionError):
+            request(address, "GET", "/v1/info", timeout=1)
 
     def test_double_start_rejected(self, server):
         with pytest.raises(RuntimeError):
@@ -313,10 +335,10 @@ class TestLifecycle:
 
 
 class TestWireFidelity:
-    def test_logits_survive_json_round_trip_bit_exactly(self, server):
-        # Awkward binary fractions and extreme magnitudes must round-trip
-        # through the decimal wire encoding unchanged.
-        values = [0.1, 1 / 3, np.pi, 1e-300, 1e300, -0.0, 5.0]
+    def test_logits_survive_wire_round_trip_bit_exactly(self, server):
+        # Awkward binary fractions, extreme magnitudes, a subnormal and a
+        # signed zero must cross the wire unchanged.
+        values = [0.1, 1 / 3, np.pi, 1e-300, 1e300, -0.0, 5e-324, 5.0]
         spec_lines = ["@vocab " + " ".join(f"v{i}" for i in range(len(values)))]
         for i, v in enumerate(values):
             spec_lines.append(f"v0 | v{i} | {float(v)!r}")
@@ -325,6 +347,7 @@ class TestWireFidelity:
             local = srv.model.open(PromptInput(tokens=(0,)))
             remote = RemoteSource(srv.endpoint).open(PromptInput(tokens=(0,)))
             assert np.array_equal(local.logits(), remote.logits())
+            assert np.array_equal(np.signbit(local.logits()), np.signbit(remote.logits()))
             local.close()
             remote.close()
         finally:
@@ -345,5 +368,37 @@ class TestWireFidelity:
         )
         assert resp.status_code == 200
         # The key parses from the decoded bytes, so the omni table applies.
-        body = resp.json()
-        assert int(np.argmax(body["logits"])) == 3
+        assert int(np.argmax(resp.logits())) == 3
+
+    def test_logit_replies_are_raw_float64_with_headers(self, server):
+        size = server.model.vocabulary.size
+        opened = post(server, "open", {"prompt_tokens": [0, 1]})
+        assert opened.status_code == 200
+        assert opened.headers["Content-Type"] == "application/octet-stream"
+        assert int(opened.headers["Content-Length"]) == len(opened.content) == 8 * size
+        assert opened.headers["X-Context-Length"] == "2"
+        local = server.model.open(PromptInput(tokens=(0, 1)))
+        assert np.array_equal(opened.logits(), local.logits())
+        sid = opened.headers["X-Session-Id"]
+        stepped = post(server, "step", {"session_id": sid, "token_id": 2})
+        assert stepped.headers["X-Context-Length"] == "3"
+        assert np.array_equal(stepped.logits(), local.step(2))
+        closed = post(server, "close", {"session_id": sid})
+        assert closed.headers["Content-Type"] == "application/json"
+        assert closed.json()["ok"] is True
+
+
+class TestKeepAlive:
+    def test_step_after_server_drops_idle_connection(self, server):
+        remote = RemoteSource(server.endpoint)
+        sess = remote.open(PromptInput(tokens=(0,)))
+        # Idle past the server's keep-alive timeout, so it closes the
+        # connection the session holds.
+        time.sleep(server._http.RequestHandlerClass.timeout + 0.5)
+        stepped = sess.step(1)
+        fresh = remote.open(PromptInput(tokens=(0,)))
+        assert np.array_equal(stepped, fresh.step(1))
+        assert sess.context_length == fresh.context_length == 2
+        fresh.close()
+        sess.close()
+        assert server.live_sessions == 0
