@@ -6,11 +6,14 @@ One decode job drives up to three sessions over the same token stream:
 - neg: the backbone on the text prompt alone (payload withheld),
 - guide: the reasoner on the text prompt plus an optional think tag.
 
-Each step gathers one logit vector per branch (concurrently, joined before
-fusion), fuses them under the configured strategy, samples exactly one
-token, and broadcasts it to every open session so all branches stay on the
-same prefix. Per-branch wall-clock latencies land in the step traces;
-prefill and generate timings mirror the two phases of cached inference.
+Each step gathers one logit vector per branch, fuses them under the
+configured strategy, samples exactly one token, and broadcasts it to every
+open session so all branches stay on the same prefix. Branches run
+concurrently (on a thread pool, joined before fusion) only when one of them
+is a remote source; in-process branches are called in turn on the calling
+thread, where a pool would only add dispatch and lock contention.
+Per-branch wall-clock latencies land in the step traces; prefill and
+generate timings mirror the two phases of cached inference.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .client import RemoteSource
 from .errors import EngineError
 from .guidance import (
     STRATEGY_BRANCHES,
@@ -148,16 +152,17 @@ def _timed_step(session: Session, token: int) -> tuple[np.ndarray, float]:
     return z, time.perf_counter() - t0
 
 
-def _gather(pool, work: dict):
-    """Run branch calls concurrently and join them all before returning.
+def _gather(pool: ThreadPoolExecutor | None, work: dict):
+    """Run one round of branch calls and return their results by branch.
 
-    Every call finishes before the first failure (in branch order) is
-    raised, so no branch is still using its session when the caller goes on
-    to close it.
+    Without a pool the calls run in turn, in branch order, on the calling
+    thread, and the first failure raises at once. With one they run
+    concurrently, and every call finishes before the first failure (in
+    branch order) is raised, so no branch is still using its session when
+    the caller goes on to close it.
     """
-    if len(work) == 1:
-        name, fn = next(iter(work.items()))
-        return {name: fn()}
+    if pool is None:
+        return {name: fn() for name, fn in work.items()}
     futures = {name: pool.submit(fn) for name, fn in work.items()}
     wait(futures.values())
     return {name: fut.result() for name, fut in futures.items()}
@@ -189,7 +194,8 @@ def decode(job: DecodeJob, *, stage: str | None = None, rng=None) -> DecodeResul
 
     t_start = time.perf_counter()
     prefill_s = 0.0
-    pool = ThreadPoolExecutor(max_workers=max(len(job.branches), 1))
+    remote = any(isinstance(src, RemoteSource) for src, _ in prompts.values())
+    pool = ThreadPoolExecutor(len(prompts)) if remote and len(prompts) > 1 else None
     try:
         try:
             def _open(name: str, src: LogitSource, prompt: PromptInput):
@@ -265,7 +271,8 @@ def decode(job: DecodeJob, *, stage: str | None = None, rng=None) -> DecodeResul
                 sess.close()
             except Exception:
                 pass
-        pool.shutdown(wait=True)
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     total = time.perf_counter() - t_start
     if finish == "error" and not tokens:

@@ -21,6 +21,11 @@ from .errors import DimensionError, NonFiniteError
 DIVERGENCE_LOG_BASE = "e"
 LN2 = float(np.log(2.0))
 
+# Floor under log() in js_divergence: log(0) would be -inf and 0 * -inf NaN.
+_TINY = float(np.finfo(np.float64).tiny)
+
+# Per-step kernels reduce with np.einsum, not @/dot/vdot/inner/matmul: BLAS worker threads spin between calls.
+
 # Probability vectors must renormalize to 1 within this absolute tolerance.
 PROB_SUM_ATOL = 1e-9
 
@@ -60,9 +65,11 @@ def as_prob_dist(values: Iterable[float] | np.ndarray) -> np.ndarray:
 def softmax(logits: Iterable[float] | np.ndarray) -> np.ndarray:
     """Softmax with max-subtraction, invariant to constant shifts."""
     z = as_logits(logits)
-    shifted = z - z.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    # One new array, updated in place (see js_divergence).
+    e = z - z.max()
+    np.exp(e, out=e)
+    e /= e.sum()
+    return e
 
 
 def _masked_kl(p: np.ndarray, q: np.ndarray) -> float:
@@ -87,11 +94,25 @@ def js_divergence(p: Iterable[float] | np.ndarray, q: Iterable[float] | np.ndarr
     """Jensen-Shannon divergence in nats: JS(p||q) in [0, ln 2].
 
     JS = (KL(p||m) + KL(q||m)) / 2 with m = (p + q) / 2. The mixture
-    dominates both inputs, so the result is always finite.
+    dominates both inputs, so the result is always finite. Logs are taken
+    of max(x, tiny) on whole vectors, so a term with p_i = 0 is exactly
+    0 * finite and no mask is needed; each entry below the smallest normal
+    float moves the sum by less than 1e-305. Rounding outside [0, ln 2] is
+    clipped.
     """
     p = as_prob_dist(p)
     q = as_prob_dist(q)
     if p.shape != q.shape:
         raise DimensionError(f"length mismatch: {p.size} vs {q.size}")
-    m = 0.5 * (p + q)
-    return 0.5 * _masked_kl(p, m) + 0.5 * _masked_kl(q, m)
+    # Two buffers for the whole computation: each fresh vocabulary-sized
+    # temporary costs about as much as the arithmetic done in it.
+    log_m = np.add(p, q)
+    log_m *= 0.5
+    np.log(np.maximum(log_m, _TINY, out=log_m), out=log_m)
+    log_ratio = np.empty_like(log_m)
+    kl = []
+    for x in (p, q):
+        np.log(np.maximum(x, _TINY, out=log_ratio), out=log_ratio)
+        log_ratio -= log_m
+        kl.append(float(np.einsum("i,i->", x, log_ratio)))
+    return min(max(0.5 * kl[0] + 0.5 * kl[1], 0.0), LN2)

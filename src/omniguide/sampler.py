@@ -59,28 +59,45 @@ def apply_repetition_penalty(
     return z
 
 
+# First candidate head of top_p_filter; it grows fourfold until the nucleus fits.
+TOP_P_HEAD = 1024
+
+
 def top_p_filter(probs: np.ndarray, top_p: float) -> np.ndarray:
     """Zero out the tail outside the smallest nucleus with mass >= top_p.
 
     Tokens are ranked by probability descending with ties broken by lower
-    token id (stable sort on the negated vector). The top-ranked token
-    always survives, even when top_p is smaller than its probability.
-    Survivors are renormalized.
+    token id. Only a head of the most probable tokens is ranked: it is
+    found by partial selection (argpartition), starts at TOP_P_HEAD tokens
+    and grows fourfold, up to the whole vocabulary, until its cumulative
+    mass reaches top_p above its smallest value (whose ties may continue
+    outside it). The kept set and the output are bit-identical to a full
+    stable sort. The top-ranked token always survives, even when top_p is
+    smaller than its probability. Survivors are renormalized.
     """
     p = np.asarray(probs, dtype=np.float64)
     if not (0.0 < top_p <= 1.0):
         raise ValueError("top_p must be in (0, 1]")
     if top_p == 1.0:
         return p / p.sum()
-    order = np.argsort(-p, kind="stable")
-    csum = np.cumsum(p[order])
-    # First index where cumulative mass reaches top_p; keep through it.
-    k = int(np.searchsorted(csum, top_p, side="left"))
-    k = min(k, p.size - 1)
-    keep = order[: k + 1]
+    head = min(TOP_P_HEAD, p.size)
+    while True:
+        if head < p.size:
+            ids = np.argpartition(p, p.size - head)[p.size - head :]
+        else:
+            ids = np.arange(p.size)
+        order = ids[np.lexsort((ids, -p[ids]))]
+        csum = np.cumsum(p[order])
+        # First index where cumulative mass reaches top_p; keep through it.
+        k = int(np.searchsorted(csum, top_p, side="left"))
+        if head == p.size or (k < head and p[order[k]] > p[order[-1]]):
+            break
+        head = min(4 * head, p.size)
+    keep = order[: min(k, p.size - 1) + 1]
     out = np.zeros_like(p)
     out[keep] = p[keep]
-    return out / out.sum()
+    out /= out.sum()
+    return out
 
 
 def sample_token(

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from omniguide import (
     EngineError,
     GuidanceConfig,
     PromptInput,
+    RemoteSource,
     SamplerConfig,
     SessionStateError,
+    TransportError,
     VocabularyMismatchError,
     bench,
     caption_then_answer,
@@ -17,6 +20,7 @@ from omniguide import (
     parse_toy_spec,
     prefill,
     sample_token,
+    serve,
 )
 from omniguide.sampler import make_rng
 
@@ -37,12 +41,19 @@ GREEDY = SamplerConfig(mode="greedy")
 
 
 class RecordingSource:
-    """Wraps a source to capture open() prompts, sessions, and step tokens."""
+    """Wraps a source to capture open() prompts, sessions, and step tokens.
+
+    threads holds the thread of every open, logits and step call.
+    """
+
+    fail_at_step = None
+    fail_with = None
 
     def __init__(self, inner):
         self.inner = inner
         self.opened = []
         self.sessions = []
+        self.threads = []
 
     @property
     def vocabulary(self):
@@ -53,29 +64,36 @@ class RecordingSource:
         return self.inner.context_limit
 
     def open(self, prompt):
+        self.threads.append(threading.current_thread())
         self.opened.append(prompt)
-        sess = RecordingSession(self.inner.open(prompt))
+        sess = RecordingSession(
+            self.inner.open(prompt), self.fail_at_step, self.fail_with, self.threads
+        )
         self.sessions.append(sess)
         return sess
 
 
 class RecordingSession:
-    def __init__(self, inner, fail_at_step=None):
+    def __init__(self, inner, fail_at_step=None, fail_with=None, threads=None):
         self.inner = inner
         self.steps = []
         self.closed = False
         self.fail_at_step = fail_at_step
+        self.fail_with = fail_with or SessionStateError("injected branch failure")
+        self.threads = [] if threads is None else threads
 
     @property
     def context_length(self):
         return self.inner.context_length
 
     def logits(self):
+        self.threads.append(threading.current_thread())
         return self.inner.logits()
 
     def step(self, token_id):
+        self.threads.append(threading.current_thread())
         if self.fail_at_step is not None and len(self.steps) + 1 >= self.fail_at_step:
-            raise SessionStateError("injected branch failure")
+            raise self.fail_with
         self.steps.append(token_id)
         return self.inner.step(token_id)
 
@@ -85,15 +103,12 @@ class RecordingSession:
 
 
 class FailingSource(RecordingSource):
-    def __init__(self, inner, fail_at_step):
+    """Its sessions raise fail_with (default SessionStateError) from step fail_at_step on."""
+
+    def __init__(self, inner, fail_at_step, fail_with=None):
         super().__init__(inner)
         self.fail_at_step = fail_at_step
-
-    def open(self, prompt):
-        self.opened.append(prompt)
-        sess = RecordingSession(self.inner.open(prompt), fail_at_step=self.fail_at_step)
-        self.sessions.append(sess)
-        return sess
+        self.fail_with = fail_with
 
 
 def stepwise_job(base, guide, key="scene_metal", **kwargs):
@@ -359,6 +374,70 @@ class TestAbortSafety:
         res = decode(job)
         assert res.finish_reason == "error"
         assert len(res.tokens) == 1
+
+
+def record_remote_threads(source: RemoteSource, threads: list) -> None:
+    """Log the thread of every open and step call of a RemoteSource.
+
+    Patches the instance, so the decoder still sees a RemoteSource.
+    """
+    real_open = source.open
+
+    def open_(prompt):
+        threads.append(threading.current_thread())
+        sess = real_open(prompt)
+        real_step = sess.step
+
+        def step(token_id):
+            threads.append(threading.current_thread())
+            return real_step(token_id)
+
+        sess.step = step
+        return sess
+
+    source.open = open_
+
+
+class TestBranchDispatch:
+    def test_in_process_branches_run_on_the_calling_thread(self, fusion_base, fusion_guide):
+        base, guide = RecordingSource(fusion_base), RecordingSource(fusion_guide)
+        before = set(threading.enumerate())
+        res = decode(stepwise_job(base, guide))
+        assert res.finish_reason == "stop_token" and len(res.tokens) > 1
+        # open + logits per branch, then one step per branch per later token.
+        assert len(base.threads + guide.threads) == 6 + 3 * (len(res.tokens) - 1)
+        assert set(base.threads + guide.threads) == {threading.current_thread()}
+        assert set(threading.enumerate()) == before
+
+    def test_remote_branches_run_on_pool_threads(self, fusion_base, fusion_guide):
+        servers = [serve(fusion_base), serve(fusion_guide)]
+        try:
+            base, guide = (RemoteSource(s.endpoint) for s in servers)
+            threads: list = []
+            record_remote_threads(base, threads)
+            record_remote_threads(guide, threads)
+            res = decode(stepwise_job(base, guide))
+            assert res.finish_reason == "stop_token" and len(res.tokens) > 1
+            assert len(threads) == 3 + 3 * (len(res.tokens) - 1)
+            assert threading.current_thread() not in threads
+            assert all(s.live_sessions == 0 for s in servers)
+        finally:
+            for s in servers:
+                s.stop()
+
+    def test_in_process_transport_error_closes_every_branch(self, fusion_base, fusion_guide):
+        base = RecordingSource(fusion_base)
+        guide = FailingSource(
+            fusion_guide, fail_at_step=2, fail_with=TransportError("in-process", 1, "link down")
+        )
+        before = set(threading.enumerate())
+        res = decode(stepwise_job(base, guide, stop_tokens=frozenset(), max_new_tokens=10))
+        assert res.finish_reason == "error"
+        assert res.error.startswith("TransportError:")
+        assert len(res.tokens) == 2
+        assert len(base.sessions) == 2 and len(guide.sessions) == 1
+        assert all(s.closed for s in base.sessions + guide.sessions)
+        assert set(threading.enumerate()) == before
 
 
 CAPTION_BASE = """

@@ -47,8 +47,10 @@ class FaultStub:
 
     Faults: "truncated" (one logit short), "json" (a v1-style JSON body on
     200), "nan" (a NaN logit), "no_session_id", "no_context_length",
-    "bad_context_length", "drop" (the connection closes with no reply) and
-    "stall" (the reply comes STALL_S late).
+    "bad_context_length", "drop" (the connection closes with no reply),
+    "stall" (the reply comes STALL_S late) and "conflict" (a 409 with the
+    server's JSON conflict error, as when a session already has a request
+    in flight).
     """
 
     def __init__(self, fault: str, on: str) -> None:
@@ -71,8 +73,8 @@ class FaultStub:
             def log_message(self, fmt, *args):
                 pass
 
-            def _send(self, content_type: str, data: bytes, headers) -> None:
-                self.send_response(200)
+            def _send(self, content_type: str, data: bytes, headers, status: int = 200) -> None:
+                self.send_response(status)
                 self.send_header("Content-Type", content_type)
                 self.send_header("Content-Length", str(len(data)))
                 for name, value in headers:
@@ -108,6 +110,11 @@ class FaultStub:
                 if op == on:
                     if fault == "drop":
                         self.close_connection = True
+                        return
+                    if fault == "conflict":
+                        error = {"code": "conflict", "message": "a request is in flight"}
+                        reply = json.dumps({"error": error}).encode()
+                        self._send("application/json", reply, (), 409)
                         return
                     if fault == "stall":
                         time.sleep(STALL_S)
@@ -160,6 +167,7 @@ CASES = [
     ("no_context_length", "open", "ProtocolError"),
     ("bad_context_length", "step", "ProtocolError"),
     ("drop", "step", "TransportError"),
+    ("conflict", "step", "SessionStateError"),
 ]
 
 

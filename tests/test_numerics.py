@@ -23,6 +23,32 @@ def naive_js(p, q):
     return 0.5 * float(rel_entr(p, m).sum()) + 0.5 * float(rel_entr(q, m).sum())
 
 
+def masked_js(p, q):
+    """The masked-gather js_divergence that the whole-vector one replaced."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    m = 0.5 * (p + q)
+
+    def kl(a):
+        mask = a > 0.0
+        am = a[mask]
+        return float((am * np.log(am / m[mask])).sum())
+
+    return 0.5 * kl(p) + 0.5 * kl(q)
+
+
+def exact_masked_js(p, q):
+    """masked_js, and where its mixture underflows, on inputs scaled by 2**64.
+
+    Scaling by a power of two changes no ratio of normal numbers, and
+    lifts subnormal entries to normal ones, whose halves do not round to 0.
+    """
+    old = masked_js(p, q)
+    if np.isfinite(old):
+        return old
+    return masked_js(np.ldexp(p, 64), np.ldexp(q, 64)) / 2.0**64
+
+
 finite_logits = arrays(
     np.float64,
     st.integers(min_value=1, max_value=64),
@@ -131,3 +157,33 @@ class TestJS:
         assert abs(js_pq - js_qp) <= 1e-12
         assert -0.0 <= js_pq <= LN2 + 1e-12
         np.testing.assert_allclose(js_pq, naive_js(p, q), rtol=0, atol=1e-10)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        size=st.integers(min_value=1, max_value=4000),
+        spread=st.floats(min_value=0.0, max_value=900.0),
+        shared=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_masked_formula_with_underflow(self, seed, size, spread, shared):
+        # Logits spread over up to 900 nats: softmax leaves exact zeros
+        # (below e^-745) and subnormal entries (e^-745 to e^-708).
+        rng = np.random.default_rng(seed)
+        zp = rng.uniform(-spread, 0.0, size)
+        zq = np.where(rng.random(size) < shared, zp, rng.uniform(-spread, 0.0, size))
+        p, q = softmax(zp), softmax(zq)
+        js = js_divergence(p, q)
+        assert 0.0 <= js <= LN2
+        assert abs(js - exact_masked_js(p, q)) <= 1e-12
+
+    def test_subnormal_and_zero_entries(self):
+        sub = np.finfo(np.float64).smallest_subnormal
+        p = np.array([0.5, 0.5 - 3 * sub, sub, 2 * sub, 0.0])
+        q = np.array([0.25, 0.75 - sub, 0.0, 0.0, sub])
+        # p[2] + q[2] is the smallest subnormal; halving it gives m = 0 and
+        # the masked formula's one term p[2] * log(p[2] / 0) = inf.
+        assert masked_js(p, q) == np.inf
+        for a, b in ((p, q), (q, p), (p, p)):
+            js = js_divergence(a, b)
+            assert 0.0 <= js <= LN2
+            assert abs(js - exact_masked_js(a, b)) <= 1e-12

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from omniguide import SamplerConfig, apply_repetition_penalty, sample_token, top_p_filter
-from omniguide.sampler import make_rng
+from omniguide.sampler import TOP_P_HEAD, make_rng
 from omniguide.numerics import softmax
 
 from conftest import random_dist
@@ -119,6 +119,76 @@ class TestTopPFilter:
         assert np.all(p[out > 0] > 0)
         # The most probable token always survives.
         assert out[np.argmax(p)] > 0
+
+
+def argsort_top_p_filter(probs, top_p):
+    """The full-sort top_p_filter that partial selection replaced: the oracle."""
+    p = np.asarray(probs, dtype=np.float64)
+    if top_p == 1.0:
+        return p / p.sum()
+    order = np.argsort(-p, kind="stable")
+    csum = np.cumsum(p[order])
+    k = int(np.searchsorted(csum, top_p, side="left"))
+    k = min(k, p.size - 1)
+    keep = order[: k + 1]
+    out = np.zeros_like(p)
+    out[keep] = p[keep]
+    return out / out.sum()
+
+
+class TestTopPMatchesFullSort:
+    """Partial selection keeps the same tokens and gives the same bits."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=6 * TOP_P_HEAD),
+        levels=st.integers(min_value=1, max_value=6),
+        zeros=st.floats(min_value=0.0, max_value=0.9),
+        top_p=st.floats(min_value=1e-6, max_value=1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_many_exact_ties(self, seed, n, levels, zeros, top_p):
+        # Quantised weights: long runs of equal probabilities (and of exact
+        # zeros) that cross the edge of the partially selected head.
+        rng = np.random.default_rng(seed)
+        w = rng.integers(1, levels + 1, size=n).astype(np.float64)
+        w[rng.random(n) < zeros] = 0.0
+        w[rng.integers(n)] = 1.0
+        p = w / w.sum()
+        assert np.array_equal(top_p_filter(p, top_p), argsort_top_p_filter(p, top_p))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=20_000, max_value=40_000),
+        top_p=st.floats(min_value=0.9, max_value=0.999),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_nucleus_larger_than_every_partial_head(self, seed, n, top_p):
+        # Near-uniform rows: the nucleus holds most of the vocabulary, more
+        # than the largest head short of all of it (16 * TOP_P_HEAD).
+        p = softmax(np.random.default_rng(seed).normal(0.0, 0.01, size=n))
+        out = top_p_filter(p, top_p)
+        assert np.count_nonzero(out) > 16 * TOP_P_HEAD
+        assert np.array_equal(out, argsort_top_p_filter(p, top_p))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=3 * TOP_P_HEAD),
+        scale=st.floats(min_value=0.1, max_value=30.0),
+        top_p=st.sampled_from([1.0, 0.95, 0.5, 1e-9]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_edge_thresholds(self, seed, n, scale, top_p):
+        # top_p = 1.0 keeps everything; 1e-9 is below any top probability.
+        p = softmax(np.random.default_rng(seed).normal(0.0, scale, size=n))
+        out = top_p_filter(p, top_p)
+        assert np.array_equal(out, argsort_top_p_filter(p, top_p))
+        if top_p == 1e-9:
+            assert np.count_nonzero(out) == 1 and out[np.argmax(p)] == 1.0
+
+    @pytest.mark.parametrize("top_p", [1.0, 0.95, 1e-9])
+    def test_single_token_vocabulary(self, top_p):
+        assert np.array_equal(top_p_filter(np.array([1.0]), top_p), [1.0])
 
 
 class TestSampleToken:
