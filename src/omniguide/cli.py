@@ -16,12 +16,7 @@ import sys
 import threading
 from pathlib import Path
 
-from .config import (
-    DEFAULT_BENCH_ROWS,
-    LoadedConfig,
-    build_runtime,
-    load_config,
-)
+from .config import BENCH_ROWS, LoadedConfig, build_runtime, load_config
 from .client import RemoteSource
 from .decoder import DecodeResult, bench, decode
 from .errors import (
@@ -201,16 +196,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-_BENCH_ROW_BUILDERS = {
-    "none": ("none", False),
-    "vcd_ablation": ("vcd_ablation", False),
-    "vcd_dup_omni": ("vcd_ablation", True),
-    "stepwise": ("stepwise", False),
-    "lrm_guide_fixed": ("lrm_guide_fixed", False),
-    "average_fusion": ("average_fusion", False),
-}
-
-
 def _latency_from_config(cfg: LoadedConfig) -> LatencyModel:
     lat = cfg.effective["bench"]["latency"]
     return LatencyModel(
@@ -260,8 +245,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
         jobs = {}
         for row in rows:
-            strategy, dup_omni = _BENCH_ROW_BUILDERS[row]
-            if strategy in ("stepwise", "lrm_guide_fixed", "average_fusion") and rt.guide_source is None:
+            strategy, dup_omni = BENCH_ROWS[row]
+            if "guide" in STRATEGIES[strategy].branches and rt.guide_source is None:
                 raise ConfigError(f"bench row {row!r} needs a guide source in the config")
             jobs[row] = rt.make_job(strategy, duplicate_omni_neg=dup_omni)
         report = bench(jobs, repetitions=reps)

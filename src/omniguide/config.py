@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import yaml
@@ -33,22 +33,36 @@ ENV_BASE_ENDPOINT = "OMNIGUIDE_BASE_ENDPOINT"
 ENV_GUIDE_ENDPOINT = "OMNIGUIDE_GUIDE_ENDPOINT"
 ENV_SEED = "OMNIGUIDE_SEED"
 
-# Bench rows run by default: the plain baseline, the two-branch ablation,
-# the same ablation re-processing the omni payload on its contrast branch,
-# and the full adaptive three-branch strategy.
+# Bench rows by name: (strategy, whether the neg branch re-processes the
+# omni payload). Every strategy runs under its own name; vcd_dup_omni is
+# the two-branch ablation re-processing the payload on its contrast branch.
+BENCH_ROWS = {name: (name, False) for name in STRATEGIES} | {
+    "vcd_dup_omni": ("vcd_ablation", True)
+}
+
+# Bench rows run by default: the plain baseline, the two-branch ablation
+# with and without the duplicated payload, and the full adaptive strategy.
 DEFAULT_BENCH_ROWS = ("none", "vcd_ablation", "vcd_dup_omni", "stepwise")
 
 _TOP_KEYS = {"sources", "prompt", "guidance", "sampler", "decode", "output", "bench", "compare"}
 _SOURCE_KEYS = {"toy_spec", "endpoint"}
 _PROMPT_KEYS = {"text", "tokens", "omni", "think_tag", "stop"}
 _OMNI_KEYS = {"path", "key", "pad_bytes", "media_type"}
-_GUIDANCE_KEYS = {"strategy", "alpha", "warmup_steps", "warmup_slope", "clip_lo", "clip_hi"}
-_SAMPLER_KEYS = {"temperature", "top_p", "repetition_penalty", "mode", "seed", "penalize_prompt"}
 _DECODE_KEYS = {"max_new_tokens"}
 _OUTPUT_KEYS = {"text", "trace"}
 _BENCH_KEYS = {"repetitions", "rows", "latency"}
 _LATENCY_KEYS = {"per_token_prefill_ms", "per_step_ms", "per_kib_ms"}
 _COMPARE_KEYS = {"strategies", "gold", "options"}
+
+
+def _dataclass_section(cls, section, where: str, **defaults) -> dict:
+    """Read a section whose keys, kinds and defaults are cls's fields."""
+    section = _require_map(section, where)
+    _check_keys(section, {f.name for f in fields(cls)}, where)
+    return {
+        f.name: _get(section, f.name, defaults.get(f.name, f.default), type(f.default), where)
+        for f in fields(cls)
+    }
 
 
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
@@ -68,6 +82,8 @@ def _require_map(value, where: str) -> dict:
 def _get(section: dict, key: str, default, kind, where: str):
     value = section.get(key, default)
     if value is None:
+        if default is not None:
+            raise ConfigError(f"{where}.{key} must not be null")
         return None
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -202,29 +218,14 @@ def load_config(path, env=None, overrides: dict | None = None) -> LoadedConfig:
         raise ConfigError("prompt section is required")
     eff_prompt = _normalize_prompt(raw["prompt"], config_dir)
 
-    guidance = _require_map(raw.get("guidance"), "guidance")
-    _check_keys(guidance, _GUIDANCE_KEYS, "guidance")
     have_guide = eff_sources["guide"] is not None
-    default_strategy = "stepwise" if have_guide else "none"
-    eff_guidance = {
-        "strategy": _get(guidance, "strategy", default_strategy, str, "guidance"),
-        "alpha": _get(guidance, "alpha", 1.0, float, "guidance"),
-        "warmup_steps": _get(guidance, "warmup_steps", 5, int, "guidance"),
-        "warmup_slope": _get(guidance, "warmup_slope", 0.1, float, "guidance"),
-        "clip_lo": _get(guidance, "clip_lo", 0.0, float, "guidance"),
-        "clip_hi": _get(guidance, "clip_hi", 1.0, float, "guidance"),
-    }
-
-    sampler = _require_map(raw.get("sampler"), "sampler")
-    _check_keys(sampler, _SAMPLER_KEYS, "sampler")
-    eff_sampler = {
-        "temperature": _get(sampler, "temperature", 0.6, float, "sampler"),
-        "top_p": _get(sampler, "top_p", 0.95, float, "sampler"),
-        "repetition_penalty": _get(sampler, "repetition_penalty", 1.03, float, "sampler"),
-        "mode": _get(sampler, "mode", "sample", str, "sampler"),
-        "seed": _get(sampler, "seed", 0, int, "sampler"),
-        "penalize_prompt": _get(sampler, "penalize_prompt", True, bool, "sampler"),
-    }
+    eff_guidance = _dataclass_section(
+        GuidanceConfig,
+        raw.get("guidance"),
+        "guidance",
+        strategy="stepwise" if have_guide else "none",
+    )
+    eff_sampler = _dataclass_section(SamplerConfig, raw.get("sampler"), "sampler")
     if env.get(ENV_SEED):
         try:
             eff_sampler["seed"] = int(env[ENV_SEED])
@@ -233,7 +234,8 @@ def load_config(path, env=None, overrides: dict | None = None) -> LoadedConfig:
 
     decode_sec = _require_map(raw.get("decode"), "decode")
     _check_keys(decode_sec, _DECODE_KEYS, "decode")
-    eff_decode = {"max_new_tokens": _get(decode_sec, "max_new_tokens", 4096, int, "decode")}
+    max_new_tokens = _get(decode_sec, "max_new_tokens", DecodeJob.max_new_tokens, int, "decode")
+    eff_decode = {"max_new_tokens": max_new_tokens}
 
     output = _require_map(raw.get("output"), "output")
     _check_keys(output, _OUTPUT_KEYS, "output")
@@ -321,17 +323,9 @@ def _apply_overrides(effective: dict, overrides: dict) -> None:
 
 
 def _validate_effective(effective: dict) -> None:
-    g = effective["guidance"]
-    if g["strategy"] not in STRATEGIES:
-        raise ConfigError(
-            f"guidance.strategy must be one of {', '.join(STRATEGIES)}, got {g['strategy']!r}"
-        )
-    s = effective["sampler"]
-    if s["mode"] not in ("sample", "greedy"):
-        raise ConfigError(f"sampler.mode must be sample or greedy, got {s['mode']!r}")
     try:
-        GuidanceConfig(**g)
-        SamplerConfig(**s)
+        GuidanceConfig(**effective["guidance"])
+        SamplerConfig(**effective["sampler"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if effective["decode"]["max_new_tokens"] < 1:
@@ -339,11 +333,10 @@ def _validate_effective(effective: dict) -> None:
     b = effective["bench"]
     if b["repetitions"] < 1:
         raise ConfigError("bench.repetitions must be >= 1")
-    known_rows = set(DEFAULT_BENCH_ROWS) | {"lrm_guide_fixed", "average_fusion"}
     for row in b["rows"]:
-        if row not in known_rows:
+        if row not in BENCH_ROWS:
             raise ConfigError(
-                f"bench.rows entry {row!r} unknown; expected one of {', '.join(sorted(known_rows))}"
+                f"bench.rows entry {row!r} unknown; expected one of {', '.join(sorted(BENCH_ROWS))}"
             )
     for key, value in b["latency"].items():
         if value < 0:

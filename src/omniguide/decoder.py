@@ -26,14 +26,7 @@ import numpy as np
 
 from .client import RemoteSource
 from .errors import EngineError
-from .guidance import (
-    STRATEGY_BRANCHES,
-    GuidanceConfig,
-    average_fusion,
-    lrm_guide_fixed,
-    stepwise_fuse,
-    vcd_ablation_mix,
-)
+from .guidance import STRATEGIES, GuidanceConfig, mix
 from .report import StepTrace
 from .sampler import SamplerConfig, make_rng, sample_token
 from .sources import (
@@ -71,7 +64,7 @@ class DecodeJob:
 
     @property
     def branches(self) -> tuple[str, ...]:
-        return STRATEGY_BRANCHES[self.guidance.strategy]
+        return STRATEGIES[self.guidance.strategy].branches
 
 
 @dataclass
@@ -125,19 +118,8 @@ def _branch_prompts(job: DecodeJob) -> dict[str, tuple[LogitSource, PromptInput]
 
 def _fuse(job: DecodeJob, z: dict[str, np.ndarray], t: int):
     """Fused logits plus the (alpha_r, alpha_p, d_r, d_p) trace tuple."""
-    g = job.guidance
-    if g.strategy == "none":
-        return z["base"], (0.0, 0.0, 0.0, 0.0)
-    if g.strategy in ("fixed_contrast", "lrm_guide_fixed"):
-        fused = lrm_guide_fixed(z["base"], z["guide"], z["neg"], g.alpha)
-        return fused, (g.alpha, 0.0, 0.0, 0.0)
-    if g.strategy == "vcd_ablation":
-        fused = vcd_ablation_mix(z["base"], z["neg"], g.alpha)
-        return fused, (g.alpha, 0.0, 0.0, 0.0)
-    if g.strategy == "average_fusion":
-        return average_fusion(z["base"], z["guide"]), (0.0, 0.0, 0.0, 0.0)
-    fused, w = stepwise_fuse(z["base"], z["guide"], z["neg"], t, g)
-    return fused, (w.alpha_r, w.alpha_p, w.d_r, w.d_p)
+    coeffs, trace = STRATEGIES[job.guidance.strategy].weights(z, t, job.guidance)
+    return mix(coeffs.values(), [z[name] for name in coeffs]), trace
 
 
 def _timed_logits(session: Session) -> tuple[np.ndarray, float]:

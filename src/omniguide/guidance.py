@@ -6,11 +6,13 @@ Each strategy combines per-branch next-token logits into one fused vector:
 - ``neg``: the same backbone on text only (the contrast/negative branch).
 - ``guide``: a text-only reasoner given the same question.
 
-Fixed-weight contrast adds a constant multiple of a branch difference to
-the base logits. The stepwise strategy instead adapts the weight each step
-from how far the base and guide branches deviate from the text-only
-backbone distribution, measured by Jensen-Shannon divergence, with a short
-linear warmup so early steps stay close to the backbone.
+Every strategy is a linear mix ``c_b * z_base + c_g * z_guide + c_n * z_neg``
+and is one row of ``STRATEGIES``: the branches it opens plus a function
+that gives its coefficients for a step. The fixed-weight rows use constant
+coefficients. The stepwise row instead adapts the weight each step from how
+far the base and guide branches deviate from the text-only backbone
+distribution, measured by Jensen-Shannon divergence, with a short linear
+warmup so early steps stay close to the backbone.
 
 All functions operate on raw branch logits; sampling adjustments
 (temperature, penalties) happen downstream on the fused vector only.
@@ -19,28 +21,12 @@ All functions operate on raw branch logits; sampling adjustments
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import DimensionError
 from .numerics import as_logits, js_divergence, softmax
-
-
-def _require_same_length(*vectors: np.ndarray) -> None:
-    sizes = {v.shape[0] for v in vectors}
-    if len(sizes) > 1:
-        raise DimensionError(f"branch logit lengths differ: {sorted(sizes)}")
-
-
-# Strategy names accepted by the decode pipeline and CLI.
-STRATEGIES = (
-    "none",
-    "fixed_contrast",
-    "lrm_guide_fixed",
-    "vcd_ablation",
-    "average_fusion",
-    "stepwise",
-)
 
 
 @dataclass(frozen=True)
@@ -85,37 +71,6 @@ class StepWeights:
     d_p: float
 
 
-def fixed_contrast(
-    z_base: np.ndarray, z_pos: np.ndarray, z_neg: np.ndarray, alpha: float
-) -> np.ndarray:
-    """Generic fixed-weight contrast: z_base + alpha * (z_pos - z_neg)."""
-    z_base = as_logits(z_base)
-    z_pos = as_logits(z_pos)
-    z_neg = as_logits(z_neg)
-    _require_same_length(z_base, z_pos, z_neg)
-    return z_base + float(alpha) * (z_pos - z_neg)
-
-
-def lrm_guide_fixed(
-    z_base: np.ndarray, z_guide: np.ndarray, z_neg: np.ndarray, alpha: float
-) -> np.ndarray:
-    """Fixed-weight reasoner guidance: the guide branch is the positive pole."""
-    return fixed_contrast(z_base, z_guide, z_neg, alpha)
-
-
-def vcd_ablation_mix(z_base: np.ndarray, z_neg: np.ndarray, alpha: float) -> np.ndarray:
-    """Two-branch contrast against the text-only backbone (no guide model)."""
-    return fixed_contrast(z_base, z_base, z_neg, alpha)
-
-
-def average_fusion(z_base: np.ndarray, z_guide: np.ndarray) -> np.ndarray:
-    """Uniform logit average of the base and guide branches."""
-    z_base = as_logits(z_base)
-    z_guide = as_logits(z_guide)
-    _require_same_length(z_base, z_guide)
-    return 0.5 * (z_base + z_guide)
-
-
 def reasoning_weights(
     d_r: float, d_p: float, t: int, cfg: GuidanceConfig | None = None
 ) -> StepWeights:
@@ -152,6 +107,34 @@ def stepwise_alpha(
     return reasoning_weights(d_r, d_p, t, cfg)
 
 
+def mix(coeffs: Iterable[float], rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Sum coeffs[i] * rows[i] in the order given, into one new array.
+
+    Each row is validated once. The order matters in the last bits:
+    stepwise sums base, guide, neg, which reproduces its closed form
+    (2 - alpha_r) * z_base + alpha_r * z_guide - z_neg bit for bit.
+    """
+    coeffs = tuple(coeffs)
+    rows = [as_logits(z) for z in rows]
+    if len(coeffs) != len(rows):
+        raise ValueError(f"{len(coeffs)} coefficients for {len(rows)} logit rows")
+    sizes = {z.shape[0] for z in rows}
+    if len(sizes) > 1:
+        raise DimensionError(f"branch logit lengths differ: {sorted(sizes)}")
+    out = coeffs[0] * rows[0]
+    if len(rows) > 1:
+        term = np.empty_like(out)
+        for c, z in zip(coeffs[1:], rows[1:]):
+            out += np.multiply(c, z, out=term)
+    return out
+
+
+def _stepwise_coeffs(alpha_r: float) -> dict[str, float]:
+    if not (0.0 <= alpha_r <= 1.0):
+        raise ValueError(f"alpha_r must be in [0, 1], got {alpha_r!r}")
+    return {"base": 2.0 - alpha_r, "guide": alpha_r, "neg": -1.0}
+
+
 def stepwise_mix(
     z_base: np.ndarray, z_guide: np.ndarray, z_neg: np.ndarray, alpha_r: float
 ) -> np.ndarray:
@@ -164,33 +147,50 @@ def stepwise_mix(
     collapses to the closed form (2 - alpha_r) * z_base + alpha_r * z_guide
     - z_neg, which is what this computes.
     """
-    if not (0.0 <= alpha_r <= 1.0):
-        raise ValueError(f"alpha_r must be in [0, 1], got {alpha_r!r}")
-    z_base = as_logits(z_base)
-    z_guide = as_logits(z_guide)
-    z_neg = as_logits(z_neg)
-    _require_same_length(z_base, z_guide, z_neg)
-    return (2.0 - alpha_r) * z_base + alpha_r * z_guide - z_neg
+    return mix(_stepwise_coeffs(alpha_r).values(), (z_base, z_guide, z_neg))
 
 
-def stepwise_fuse(
-    z_base: np.ndarray,
-    z_guide: np.ndarray,
-    z_neg: np.ndarray,
-    t: int,
-    cfg: GuidanceConfig | None = None,
-) -> tuple[np.ndarray, StepWeights]:
-    """One-call adaptive fusion: weights from softmaxed logits, then mix."""
-    weights = stepwise_alpha(softmax(z_guide), softmax(z_base), softmax(z_neg), t, cfg)
-    return stepwise_mix(z_base, z_guide, z_neg, weights.alpha_r), weights
+@dataclass(frozen=True)
+class Strategy:
+    """One decoding strategy.
+
+    branches are the sessions it opens, in open and trace order. weights
+    maps the step's branch logits, the 1-based step t and the config to
+    the mixing coefficients by branch (summed in that order) and the trace
+    tuple (alpha_r, alpha_p, d_r, d_p). Fixed strategies trace their
+    configured alpha as alpha_r.
+    """
+
+    branches: tuple[str, ...]
+    weights: Callable[[dict[str, np.ndarray], int, GuidanceConfig], tuple[dict[str, float], tuple]]
 
 
-# Branch sessions each strategy needs, in trace order.
-STRATEGY_BRANCHES = {
-    "none": ("base",),
-    "fixed_contrast": ("base", "neg", "guide"),
-    "lrm_guide_fixed": ("base", "neg", "guide"),
-    "vcd_ablation": ("base", "neg"),
-    "average_fusion": ("base", "guide"),
-    "stepwise": ("base", "neg", "guide"),
+_UNGUIDED = (0.0, 0.0, 0.0, 0.0)
+
+
+def _stepwise(z: dict[str, np.ndarray], t: int, cfg: GuidanceConfig):
+    w = stepwise_alpha(softmax(z["guide"]), softmax(z["base"]), softmax(z["neg"]), t, cfg)
+    return _stepwise_coeffs(w.alpha_r), (w.alpha_r, w.alpha_p, w.d_r, w.d_p)
+
+
+# Strategy names accepted by the decode pipeline and CLI, one row each.
+STRATEGIES: dict[str, Strategy] = {
+    "none": Strategy(("base",), lambda z, t, g: ({"base": 1.0}, _UNGUIDED)),
+    # Visual contrastive decoding: contrast against the text-only backbone.
+    "vcd_ablation": Strategy(
+        ("base", "neg"),
+        lambda z, t, g: ({"base": 1.0 + g.alpha, "neg": -g.alpha}, (g.alpha, 0.0, 0.0, 0.0)),
+    ),
+    "average_fusion": Strategy(
+        ("base", "guide"), lambda z, t, g: ({"base": 0.5, "guide": 0.5}, _UNGUIDED)
+    ),
+    # Fixed-weight contrast with the guide as the positive pole.
+    "lrm_guide_fixed": Strategy(
+        ("base", "neg", "guide"),
+        lambda z, t, g: (
+            {"base": 1.0, "guide": g.alpha, "neg": -g.alpha},
+            (g.alpha, 0.0, 0.0, 0.0),
+        ),
+    ),
+    "stepwise": Strategy(("base", "neg", "guide"), _stepwise),
 }

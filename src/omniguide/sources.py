@@ -95,34 +95,23 @@ class PromptInput:
     payload: OmniPayload | None = None
 
 
-@dataclass
-class CompatibilityReport:
-    ok: bool
-    mismatches: tuple[str, ...] = ()
+def require_compatible(a: Vocabulary, b: Vocabulary, *, context: str = "") -> None:
+    """Raise VocabularyMismatchError unless two vocabularies are identical.
 
-
-def check_compatibility(a: Vocabulary, b: Vocabulary) -> CompatibilityReport:
-    """Compare two vocabularies, reporting the primary cause on mismatch.
-
-    A size difference is reported alone (a different size forces a
-    fingerprint difference, which would be noise); same-size vocabularies
-    that differ report a fingerprint mismatch.
+    Only the primary cause is reported: a size difference alone (a
+    different size forces a fingerprint difference, which would be noise),
+    else a fingerprint mismatch for same-size vocabularies that differ.
     """
     if a.size != b.size:
-        return CompatibilityReport(ok=False, mismatches=("size",))
-    if a.fingerprint != b.fingerprint:
-        return CompatibilityReport(ok=False, mismatches=("fingerprint",))
-    return CompatibilityReport(ok=True)
-
-
-def require_compatible(a: Vocabulary, b: Vocabulary, *, context: str = "") -> None:
-    report = check_compatibility(a, b)
-    if not report.ok:
-        where = f" ({context})" if context else ""
-        raise VocabularyMismatchError(
-            report.mismatches,
-            f"vocabulary mismatch{where}: {', '.join(report.mismatches)}",
-        )
+        mismatches = ("size",)
+    elif a.fingerprint != b.fingerprint:
+        mismatches = ("fingerprint",)
+    else:
+        return
+    where = f" ({context})" if context else ""
+    raise VocabularyMismatchError(
+        mismatches, f"vocabulary mismatch{where}: {', '.join(mismatches)}"
+    )
 
 
 class Session(Protocol):
@@ -154,22 +143,6 @@ class LogitSource(Protocol):
     def context_limit(self) -> int: ...
 
     def open(self, prompt: PromptInput) -> Session: ...
-
-
-def prefill(source: LogitSource, prompt: PromptInput) -> tuple[Session, np.ndarray]:
-    """Open a session on the prompt and return it with the first logits."""
-    session = source.open(prompt)
-    return session, session.logits()
-
-
-def step(session: Session, token_id: int) -> np.ndarray:
-    """Advance a session by one accepted token; returns the next logits."""
-    return session.step(token_id)
-
-
-def close(session: Session) -> None:
-    """Release a session's backend state; idempotent."""
-    session.close()
 
 
 def _validate_context(tokens: Sequence[int], vocab_size: int, limit: int) -> None:

@@ -141,7 +141,10 @@ class TestConfigLoading:
             ("sampler", "repetition_penalty", 0.5),
             ("sampler", "mode", "beam"),
             ("guidance", "strategy", "bogus"),
+            ("guidance", "alpha", None),
+            ("sampler", "seed", None),
             ("decode", "max_new_tokens", 0),
+            ("decode", "max_new_tokens", None),
         ]:
             bad = base_config()
             bad.setdefault(section, {})[key] = value

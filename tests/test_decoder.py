@@ -18,7 +18,6 @@ from omniguide import (
     caption_then_answer,
     decode,
     parse_toy_spec,
-    prefill,
     sample_token,
     serve,
 )
@@ -170,7 +169,8 @@ class TestBaselineEquivalence:
             )
             got = decode(job)
 
-            sess, z = prefill(model, prompt)
+            sess = model.open(prompt)
+            z = sess.logits()
             rng = make_rng(sampler)
             history = list(prompt.tokens)
             want = []

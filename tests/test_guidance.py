@@ -7,20 +7,25 @@ from hypothesis.extra import numpy as hnp
 from omniguide import (
     GuidanceConfig,
     STRATEGIES,
-    STRATEGY_BRANCHES,
     StepWeights,
-    average_fusion,
-    fixed_contrast,
-    lrm_guide_fixed,
+    mix,
     reasoning_weights,
     stepwise_alpha,
-    stepwise_fuse,
     stepwise_mix,
-    vcd_ablation_mix,
 )
 from omniguide.numerics import LN2, softmax
 
 from conftest import random_dist
+
+
+def fuse(strategy, t=1, cfg=None, **z):
+    """Fused logits and trace of one registry row, as the decoder mixes them."""
+    coeffs, trace = STRATEGIES[strategy].weights(z, t, cfg or GuidanceConfig(strategy=strategy))
+    return mix(coeffs.values(), [z[name] for name in coeffs]), trace
+
+
+def fixed(strategy, alpha, **z):
+    return fuse(strategy, cfg=GuidanceConfig(strategy=strategy, alpha=alpha), **z)[0]
 
 
 def finite_vec(n):
@@ -32,71 +37,84 @@ def finite_vec(n):
 
 
 class TestFixedContrast:
+    """mix itself: the fixed contrast z_base + alpha * z_pos - alpha * z_neg."""
+
     def test_alpha_zero_is_identity(self):
         z = np.array([1.0, -2.0, 3.0])
-        out = fixed_contrast(z, np.array([9.0, 9.0, 9.0]), np.array([1.0, 2.0, 3.0]), 0.0)
+        out = mix((1.0, 0.0, -0.0), (z, np.array([9.0, 9.0, 9.0]), np.array([1.0, 2.0, 3.0])))
         assert np.array_equal(out, z)
 
     def test_equal_poles_cancel(self):
         z = np.array([0.5, 0.25])
         pole = np.array([4.0, -4.0])
-        out = fixed_contrast(z, pole, pole, 7.3)
+        out = mix((1.0, 7.3, -7.3), (z, pole, pole))
         np.testing.assert_allclose(out, z, atol=0)
 
     def test_worked_example(self):
-        out = fixed_contrast(
-            np.array([1.0, 2.0]), np.array([3.0, 0.0]), np.array([1.0, 1.0]), 0.5
-        )
+        rows = (np.array([1.0, 2.0]), np.array([3.0, 0.0]), np.array([1.0, 1.0]))
+        out = mix((1.0, 0.5, -0.5), rows)
         np.testing.assert_allclose(out, [2.0, 1.5], atol=0)
 
     def test_length_mismatch_rejected(self):
         from omniguide import DimensionError
 
         with pytest.raises(DimensionError):
-            fixed_contrast(np.zeros(3), np.zeros(2), np.zeros(3), 1.0)
+            mix((1.0, 1.0, -1.0), (np.zeros(3), np.zeros(2), np.zeros(3)))
+        with pytest.raises(ValueError):
+            mix((1.0, 1.0), (np.zeros(3),))
 
 
 class TestLrmGuideFixed:
     def test_guide_equal_to_neg_degenerates_to_base(self):
         z = np.array([0.1, 0.9, -0.4])
         pole = np.array([2.0, 2.0, 2.0])
-        out = lrm_guide_fixed(z, pole, pole, 5.0)
+        out = fixed("lrm_guide_fixed", 5.0, base=z, guide=pole, neg=pole)
         np.testing.assert_allclose(out, z, atol=0)
 
     def test_guide_pole_drives_argmax(self):
-        out = lrm_guide_fixed(
-            np.array([0.0, 0.0]), np.array([2.0, 0.0]), np.array([0.0, 0.0]), 1.0
+        out = fixed(
+            "lrm_guide_fixed",
+            1.0,
+            base=np.array([0.0, 0.0]),
+            guide=np.array([2.0, 0.0]),
+            neg=np.array([0.0, 0.0]),
         )
         assert int(np.argmax(out)) == 0
 
     def test_alpha_zero_matches_base(self):
         z = np.array([3.0, 1.0, 2.0])
-        out = lrm_guide_fixed(z, np.array([0.0, 9.0, 0.0]), np.array([1.0, 1.0, 1.0]), 0.0)
+        out = fixed(
+            "lrm_guide_fixed",
+            0.0,
+            base=z,
+            guide=np.array([0.0, 9.0, 0.0]),
+            neg=np.array([1.0, 1.0, 1.0]),
+        )
         assert np.array_equal(out, z)
 
 
 class TestVcdAblation:
     def test_alpha_zero_is_identity(self):
         z = np.array([1.0, 0.0])
-        assert np.array_equal(vcd_ablation_mix(z, np.array([5.0, 5.0]), 0.0), z)
+        assert np.array_equal(fixed("vcd_ablation", 0.0, base=z, neg=np.array([5.0, 5.0])), z)
 
     def test_neg_equal_base_cancels(self):
         z = np.array([1.0, -1.0, 0.5])
-        np.testing.assert_allclose(vcd_ablation_mix(z, z, 3.0), z, atol=0)
+        np.testing.assert_allclose(fixed("vcd_ablation", 3.0, base=z, neg=z), z, atol=0)
 
     def test_worked_example(self):
-        out = vcd_ablation_mix(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1.0)
+        out = fixed("vcd_ablation", 1.0, base=np.array([1.0, 0.0]), neg=np.array([0.0, 1.0]))
         np.testing.assert_allclose(out, [2.0, -1.0], atol=0)
 
 
 class TestAverageFusion:
     def test_midpoint(self):
-        out = average_fusion(np.array([2.0, 0.0]), np.array([0.0, 2.0]))
+        out, _ = fuse("average_fusion", base=np.array([2.0, 0.0]), guide=np.array([0.0, 2.0]))
         np.testing.assert_allclose(out, [1.0, 1.0], atol=0)
 
     def test_identical_inputs_fixed_point(self):
         z = np.array([0.3, -0.7, 1.1])
-        assert np.array_equal(average_fusion(z, z), z)
+        assert np.array_equal(fuse("average_fusion", base=z, guide=z)[0], z)
 
 
 class TestReasoningWeights:
@@ -230,17 +248,20 @@ class TestStepwiseMix:
 
 
 class TestStepwiseFuse:
+    """The stepwise registry row: weights from softmaxed logits, then mix."""
+
     def test_identical_logits_reduce_to_perception_contrast(self):
         z = np.array([0.4, -0.4, 0.0])
-        fused, w = stepwise_fuse(z, z, z, t=50)
-        assert w.alpha_r == 0.0
+        fused, (alpha_r, *_) = fuse("stepwise", t=50, base=z, guide=z, neg=z)
+        assert alpha_r == 0.0
         np.testing.assert_allclose(fused, 2 * z - z, atol=0)
 
     def test_weights_derive_from_softmaxed_logits(self):
         zb = np.array([0.0, 0.0])
         zg = np.array([10.0, -10.0])
         zn = np.array([0.0, 0.0])
-        _, w = stepwise_fuse(zb, zg, zn, t=100)
+        _, trace = fuse("stepwise", t=100, base=zb, guide=zg, neg=zn)
+        w = StepWeights(*trace)
         expected = stepwise_alpha(softmax(zg), softmax(zb), softmax(zn), t=100)
         assert w == expected
         assert w.d_p == 0.0 and w.d_r > 0.2
@@ -249,8 +270,8 @@ class TestStepwiseFuse:
         zb = np.array([0.0, 0.0])
         zg = np.array([30.0, -30.0])
         zn = np.array([0.0, 0.0])
-        _, w1 = stepwise_fuse(zb, zg, zn, t=1)
-        assert w1.alpha_r == pytest.approx(0.1, abs=1e-15)
+        _, (alpha_r, *_) = fuse("stepwise", t=1, base=zb, guide=zg, neg=zn)
+        assert alpha_r == pytest.approx(0.1, abs=1e-15)
 
 
 class TestGuidanceConfig:
@@ -283,16 +304,85 @@ class TestGuidanceConfig:
 
 class TestStrategyBranchMap:
     def test_every_strategy_mapped(self):
-        assert set(STRATEGY_BRANCHES) == set(STRATEGIES)
+        names = {"none", "vcd_ablation", "average_fusion", "lrm_guide_fixed", "stepwise"}
+        assert set(STRATEGIES) == names
+        with pytest.raises(ValueError):
+            GuidanceConfig(strategy="fixed_contrast")
 
     def test_branch_requirements(self):
-        assert STRATEGY_BRANCHES["none"] == ("base",)
-        assert STRATEGY_BRANCHES["vcd_ablation"] == ("base", "neg")
-        assert STRATEGY_BRANCHES["average_fusion"] == ("base", "guide")
-        for s in ("fixed_contrast", "lrm_guide_fixed", "stepwise"):
-            assert STRATEGY_BRANCHES[s] == ("base", "neg", "guide")
-        for branches in STRATEGY_BRANCHES.values():
-            assert branches[0] == "base"
+        assert STRATEGIES["none"].branches == ("base",)
+        assert STRATEGIES["vcd_ablation"].branches == ("base", "neg")
+        assert STRATEGIES["average_fusion"].branches == ("base", "guide")
+        for s in ("lrm_guide_fixed", "stepwise"):
+            assert STRATEGIES[s].branches == ("base", "neg", "guide")
+        for row in STRATEGIES.values():
+            assert row.branches[0] == "base"
+
+
+# README's Strategies table: (c_b, c_g, c_n), summed in that order.
+def readme_formula(strategy, zb, zg, zn, alpha, alpha_r):
+    return {
+        "none": zb,
+        "vcd_ablation": (1 + alpha) * zb - alpha * zn,
+        "average_fusion": 0.5 * zb + 0.5 * zg,
+        "lrm_guide_fixed": zb + alpha * zg - alpha * zn,
+        "stepwise": (2 - alpha_r) * zb + alpha_r * zg - zn,
+    }[strategy]
+
+
+@pytest.mark.parametrize("strategy", list(STRATEGIES))
+def test_row_matches_readme_formula_and_opened_branches(strategy):
+    from omniguide import DecodeJob, OmniPayload, PromptInput, decode, parse_toy_spec
+
+    rng = np.random.default_rng(5)
+    zb, zg, zn = rng.normal(0, 3, size=(3, 64))
+    cfg = GuidanceConfig(strategy=strategy, alpha=0.7)
+    branches = STRATEGIES[strategy].branches
+    z = {"base": zb, "guide": zg, "neg": zn}
+    for t in (1, 9):
+        fused, trace = fuse(strategy, t=t, cfg=cfg, **{b: z[b] for b in branches})
+        assert np.array_equal(fused, readme_formula(strategy, zb, zg, zn, cfg.alpha, trace[0]))
+
+    # The sessions a decode opens, in order: base and neg share the base
+    # source, and only base carries the payload.
+    opened = []
+
+    class Logged:
+        def __init__(self, spec, name):
+            self.inner, self.name = parse_toy_spec(spec), name
+            self.vocabulary, self.context_limit = self.inner.vocabulary, self.inner.context_limit
+
+        def open(self, prompt):
+            if self.name == "guide":
+                opened.append("guide")
+            else:
+                opened.append("base" if prompt.payload is not None else "neg")
+            return self.inner.open(prompt)
+
+    spec = "@vocab a b\na | b | 1\n"
+    job = DecodeJob(
+        base_source=Logged(spec, "base"),
+        guide_source=Logged(spec, "guide"),
+        prompt=PromptInput((0,), OmniPayload(b"key")),
+        guidance=cfg,
+        max_new_tokens=2,
+    )
+    assert decode(job).finish_reason == "length_limit"
+    assert tuple(opened) == branches
+
+
+@given(
+    data=st.data(),
+    t=st.integers(min_value=1, max_value=12),
+    a=st.floats(min_value=0, max_value=1),
+)
+@settings(max_examples=300)
+def test_stepwise_row_is_bit_identical_to_closed_form(data, t, a):
+    n = data.draw(st.integers(min_value=1, max_value=64))
+    zb, zg, zn = (data.draw(finite_vec(n)) for _ in range(3))
+    fused, (alpha_r, *_) = fuse("stepwise", t=t, base=zb, guide=zg, neg=zn)
+    assert np.array_equal(fused, (2.0 - alpha_r) * zb + alpha_r * zg - zn)
+    assert np.array_equal(stepwise_mix(zb, zg, zn, a), (2.0 - a) * zb + a * zg - zn)
 
 
 def test_step_weights_is_plain_record():

@@ -11,11 +11,7 @@ from omniguide import (
     Vocabulary,
     VocabularyMismatchError,
     build_toy_model,
-    check_compatibility,
-    close,
     parse_toy_spec,
-    prefill,
-    step,
 )
 from omniguide.sources import require_compatible
 
@@ -45,11 +41,13 @@ class TestVocabulary:
         same = Vocabulary.from_tokens(["a", "b", "c"])
         renamed = Vocabulary.from_tokens(["a", "b", "d"])
         shorter = Vocabulary.from_tokens(["a", "b"])
-        assert check_compatibility(a, same).ok
-        rep = check_compatibility(a, renamed)
-        assert not rep.ok and rep.mismatches == ("fingerprint",)
-        rep = check_compatibility(a, shorter)
-        assert not rep.ok and rep.mismatches == ("size",)
+        require_compatible(a, same)
+        with pytest.raises(VocabularyMismatchError) as exc_info:
+            require_compatible(a, renamed)
+        assert exc_info.value.mismatches == ("fingerprint",)
+        with pytest.raises(VocabularyMismatchError) as exc_info:
+            require_compatible(a, shorter)
+        assert exc_info.value.mismatches == ("size",)
 
     def test_require_compatible_raises_with_mismatches(self):
         a = Vocabulary.from_tokens(["a", "b"])
@@ -62,12 +60,12 @@ class TestVocabulary:
 class TestToySpecParsing:
     def test_single_rule_readback(self):
         m = parse_toy_spec("@vocab Q X Y\nQ | X | 5\n")
-        _, z = prefill(m, PromptInput(tokens=(0,)))
+        z = m.open(PromptInput(tokens=(0,))).logits()
         assert z[1] == 5.0 and z[0] == 0.0 and z[2] == 0.0
 
     def test_comments_and_blank_lines_ignored(self):
         m = parse_toy_spec("# header\n@vocab a b\n\na | b | 1 # trailing\n")
-        _, z = prefill(m, PromptInput(tokens=(0,)))
+        z = m.open(PromptInput(tokens=(0,))).logits()
         assert z[1] == 1.0
 
     def test_context_limit_directive(self):
@@ -106,31 +104,31 @@ class TestToySpecParsing:
 class TestToyEvaluation:
     def test_longest_suffix_wins(self):
         m = parse_toy_spec("@vocab a b c\nb | c | 1\na b | c | 9\n")
-        _, z = prefill(m, PromptInput(tokens=(0, 1)))
+        z = m.open(PromptInput(tokens=(0, 1))).logits()
         assert z[2] == 9.0
-        _, z = prefill(m, PromptInput(tokens=(2, 1)))
+        z = m.open(PromptInput(tokens=(2, 1))).logits()
         assert z[2] == 1.0
 
     def test_unmatched_context_gives_uniform_zero(self):
         m = parse_toy_spec("@vocab a b\na | b | 3\n")
-        _, z = prefill(m, PromptInput(tokens=(1,)))
+        z = m.open(PromptInput(tokens=(1,))).logits()
         assert np.array_equal(z, np.zeros(2))
 
     def test_omni_override_selected_by_payload_key(self):
         m = parse_toy_spec("@vocab q x y\nq | x | 5\n@omni alt\nq | y | 7\n")
-        _, z_plain = prefill(m, PromptInput(tokens=(0,)))
+        z_plain = m.open(PromptInput(tokens=(0,))).logits()
         assert int(np.argmax(z_plain)) == 1
         payload = OmniPayload(data=b"alt trailing bytes")
-        _, z_omni = prefill(m, PromptInput(tokens=(0,), payload=payload))
+        z_omni = m.open(PromptInput(tokens=(0,), payload=payload)).logits()
         assert int(np.argmax(z_omni)) == 2
         # Unknown key falls back to base rules.
-        _, z_other = prefill(m, PromptInput(tokens=(0,), payload=OmniPayload(data=b"nope")))
+        z_other = m.open(PromptInput(tokens=(0,), payload=OmniPayload(data=b"nope"))).logits()
         assert np.array_equal(z_other, z_plain)
 
     def test_omni_miss_falls_back_to_base_rules(self):
         m = parse_toy_spec("@vocab q r x y\nr | x | 2\n@omni alt\nq | y | 7\n")
         payload = OmniPayload(data=b"alt")
-        _, z = prefill(m, PromptInput(tokens=(1,), payload=payload))
+        z = m.open(PromptInput(tokens=(1,), payload=payload)).logits()
         assert z[2] == 2.0
 
 
@@ -144,21 +142,21 @@ class TestSessionContract:
         m = parse_toy_spec("@vocab a b\na | b | 1\n")
         with pytest.raises(TokenRangeError):
             m.open(PromptInput(tokens=(2,)))
-        sess, _ = prefill(m, PromptInput(tokens=(0,)))
+        sess = m.open(PromptInput(tokens=(0,)))
         with pytest.raises(TokenRangeError):
             sess.step(2)
 
     def test_step_past_context_limit_rejected(self):
         m = parse_toy_spec("@vocab a b\n@context_limit 2\na | b | 1\n")
-        sess, _ = prefill(m, PromptInput(tokens=(0, 1)))
+        sess = m.open(PromptInput(tokens=(0, 1)))
         with pytest.raises(CapacityError):
             sess.step(0)
 
     def test_close_then_step_errors_and_double_close_ok(self):
         m = parse_toy_spec("@vocab a b\na | b | 1\n")
-        sess, _ = prefill(m, PromptInput(tokens=(0,)))
-        close(sess)
-        close(sess)  # idempotent
+        sess = m.open(PromptInput(tokens=(0,)))
+        sess.close()
+        sess.close()  # idempotent
         with pytest.raises(SessionStateError):
             sess.step(0)
         with pytest.raises(SessionStateError):
@@ -166,9 +164,9 @@ class TestSessionContract:
 
     def test_step_counts_increment(self):
         m = parse_toy_spec("@vocab a b\na | b | 1\n")
-        sess, _ = prefill(m, PromptInput(tokens=(0,)))
+        sess = m.open(PromptInput(tokens=(0,)))
         assert sess.context_length == 1
-        step(sess, 1)
+        sess.step(1)
         assert sess.context_length == 2
 
     def test_cache_consistency_random_prompts(self):
@@ -177,9 +175,11 @@ class TestSessionContract:
             m = random_toy_model(rng)
             v = m.vocabulary.size
             tokens = tuple(int(t) for t in rng.integers(0, v, size=64))
-            sess, z = prefill(m, PromptInput(tokens=tokens[:1]))
+            sess = m.open(PromptInput(tokens=tokens[:1]))
+            z = sess.logits()
             for k in range(1, len(tokens)):
-                fresh_sess, fresh = prefill(m, PromptInput(tokens=tokens[:k]))
+                fresh_sess = m.open(PromptInput(tokens=tokens[:k]))
+                fresh = fresh_sess.logits()
                 fresh_sess.close()
                 np.testing.assert_allclose(z, fresh, rtol=0, atol=1e-9)
                 assert np.array_equal(z, fresh)
@@ -196,7 +196,8 @@ class TestSessionContract:
         steps_b = [int(t) for t in rng.integers(0, v, size=8)]
 
         def run_solo(prompt, steps):
-            sess, z = prefill(m, PromptInput(tokens=prompt))
+            sess = m.open(PromptInput(tokens=prompt))
+            z = sess.logits()
             out = [z]
             for t in steps:
                 out.append(sess.step(t))
@@ -206,8 +207,10 @@ class TestSessionContract:
         solo_a = run_solo(prompt_a, steps_a)
         solo_b = run_solo(prompt_b, steps_b)
 
-        sa, za = prefill(m, PromptInput(tokens=prompt_a))
-        sb, zb = prefill(m, PromptInput(tokens=prompt_b))
+        sa = m.open(PromptInput(tokens=prompt_a))
+        za = sa.logits()
+        sb = m.open(PromptInput(tokens=prompt_b))
+        zb = sb.logits()
         inter_a, inter_b = [za], [zb]
         for ta, tb in zip(steps_a, steps_b):
             inter_a.append(sa.step(ta))
@@ -227,6 +230,6 @@ class TestSessionContract:
         m2 = random_toy_model(np.random.default_rng(13))
         prompt = random_prompt(rng, m1.vocabulary.size)
         payload = OmniPayload(data=b"blob pad")
-        _, z1 = prefill(m1, PromptInput(tokens=prompt, payload=payload))
-        _, z2 = prefill(m2, PromptInput(tokens=prompt, payload=payload))
+        z1 = m1.open(PromptInput(tokens=prompt, payload=payload)).logits()
+        z2 = m2.open(PromptInput(tokens=prompt, payload=payload)).logits()
         assert np.array_equal(z1, z2)
