@@ -11,18 +11,10 @@ negative for the right reason, so it alone answers both scenes correctly.
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 from pathlib import Path
 
-from omniguide import (
-    DecodeJob,
-    GuidanceConfig,
-    OmniPayload,
-    PromptInput,
-    SamplerConfig,
-    build_toy_model,
-    decode,
-    render_attribution,
-)
+from omniguide import OmniPayload, build_runtime, decode, load_config, render_attribution
 from omniguide.guidance import STRATEGIES
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -34,31 +26,16 @@ def main() -> None:
     parser.add_argument("--show-attribution", action="store_true")
     args = parser.parse_args()
 
-    base = build_toy_model(CONFIG_DIR / "fusion_base.toy", name="base")
-    guide = build_toy_model(CONFIG_DIR / "fusion_guide.toy", name="guide")
-    vocab = base.vocabulary
-    what = vocab.index_of("what")
-    eos = vocab.index_of("<eos>")
-    think = vocab.index_of("<think>")
+    job = build_runtime(load_config(CONFIG_DIR / "demo.yaml", env={}))
     payload = OmniPayload(args.scene.encode() + b" " + bytes(64))
-    greedy = SamplerConfig(mode="greedy")
+    job = replace(job, prompt=replace(job.prompt, payload=payload))
 
     print(f"scene: {args.scene}")
     print(f"{'strategy':<18} output")
     print("-" * 50)
     stepwise_result = None
     for strategy in STRATEGIES:
-        job = DecodeJob(
-            base_source=base,
-            guide_source=None if strategy == "none" else guide,
-            prompt=PromptInput(tokens=(what,), payload=payload),
-            guidance=GuidanceConfig(strategy=strategy),
-            sampler=greedy,
-            stop_tokens=frozenset({eos}),
-            think_tag=(think,),
-            max_new_tokens=8,
-        )
-        result = decode(job)
+        result = decode(replace(job, guidance=replace(job.guidance, strategy=strategy)))
         print(f"{strategy:<18} {result.text}")
         if strategy == "stepwise":
             stepwise_result = result

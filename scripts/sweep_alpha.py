@@ -10,20 +10,12 @@ accuracy per alpha, plus the adaptive strategy's row for comparison.
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from omniguide import (
-    DecodeJob,
-    GuidanceConfig,
-    OmniPayload,
-    PromptInput,
-    SamplerConfig,
-    build_toy_model,
-    decode,
-    extract_choice,
-)
+from omniguide import OmniPayload, build_runtime, decode, extract_choice, load_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SCENES = [("scene_metal", "sinks"), ("scene_plastic", "floats")]
@@ -35,31 +27,15 @@ def main() -> None:
     args = parser.parse_args()
     alphas = args.alphas if args.alphas is not None else list(np.round(np.arange(0.0, 1.01, 0.2), 2))
 
-    base = build_toy_model(CONFIG_DIR / "fusion_base.toy", name="base")
-    guide = build_toy_model(CONFIG_DIR / "fusion_guide.toy", name="guide")
-    vocab = base.vocabulary
-    what = vocab.index_of("what")
-    eos = vocab.index_of("<eos>")
-    think = vocab.index_of("<think>")
-    greedy = SamplerConfig(mode="greedy")
+    job = build_runtime(load_config(CONFIG_DIR / "demo.yaml", env={}))
     options = [gold for _, gold in SCENES]
 
-    def run(guidance: GuidanceConfig) -> tuple[list[str], float]:
+    def run(**guidance) -> tuple[list[str], float]:
         answers, correct = [], 0
         for key, gold in SCENES:
-            job = DecodeJob(
-                base_source=base,
-                guide_source=guide,
-                prompt=PromptInput(
-                    tokens=(what,), payload=OmniPayload(key.encode() + b" " + bytes(64))
-                ),
-                guidance=guidance,
-                sampler=greedy,
-                stop_tokens=frozenset({eos}),
-                think_tag=(think,),
-                max_new_tokens=8,
-            )
-            text = decode(job).text
+            prompt = replace(job.prompt, payload=OmniPayload(key.encode() + b" " + bytes(64)))
+            guided = replace(job, prompt=prompt, guidance=replace(job.guidance, **guidance))
+            text = decode(guided).text
             answers.append(text)
             if extract_choice(text, options) == gold:
                 correct += 1
@@ -68,9 +44,9 @@ def main() -> None:
     print(f"{'guidance':<22} {'accuracy':>8}  metal scene / plastic scene")
     print("-" * 78)
     for alpha in alphas:
-        answers, acc = run(GuidanceConfig(strategy="lrm_guide_fixed", alpha=float(alpha)))
+        answers, acc = run(strategy="lrm_guide_fixed", alpha=float(alpha))
         print(f"{'fixed alpha=' + format(alpha, '.2f'):<22} {acc:>8.0%}  {answers[0]!r} / {answers[1]!r}")
-    answers, acc = run(GuidanceConfig(strategy="stepwise"))
+    answers, acc = run(strategy="stepwise")
     print(f"{'stepwise (adaptive)':<22} {acc:>8.0%}  {answers[0]!r} / {answers[1]!r}")
 
 

@@ -37,7 +37,7 @@ from .report import (
 )
 from .sampler import SamplerConfig, apply_repetition_penalty, sample_token, top_p_filter
 from .client import RemoteSource
-from .config import Runtime, build_runtime, load_config, tokenize
+from .config import build_runtime, load_config, tokenize
 from .server import LatencyModel, ModelServer, serve
 from .sources import (
     LogitSource,
@@ -72,7 +72,6 @@ __all__ = [
     "PromptInput",
     "ProtocolError",
     "RemoteSource",
-    "Runtime",
     "STRATEGIES",
     "SamplerConfig",
     "Session",

@@ -14,11 +14,12 @@ import argparse
 import signal
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
-from .config import BENCH_ROWS, LoadedConfig, build_runtime, load_config
+from .config import _OVERRIDE_PATHS, BENCH_ROWS, LoadedConfig, build_runtime, load_config
 from .client import RemoteSource
-from .decoder import DecodeResult, bench, decode
+from .decoder import DecodeJob, DecodeResult, bench, decode
 from .errors import (
     ConfigError,
     EngineError,
@@ -27,41 +28,29 @@ from .errors import (
     TransportError,
     VocabularyMismatchError,
 )
-from .guidance import STRATEGIES
+from .guidance import STRATEGIES, GuidanceConfig
 from .report import TraceHeader, alpha_histogram, emit_traces, extract_choice, read_traces, render_attribution
+from .sampler import SamplerConfig
 from .server import LatencyModel, serve
 from .sources import build_toy_model
 
-_OVERRIDE_FLAGS = (
-    "strategy",
-    "alpha",
-    "seed",
-    "temperature",
-    "top_p",
-    "repetition_penalty",
-    "max_new_tokens",
-    "warmup_steps",
-    "warmup_slope",
-    "trace_out",
-)
+# The dataclass whose field each override section sets; output paths are str.
+_SECTION_FIELDS = {"guidance": GuidanceConfig, "sampler": SamplerConfig, "decode": DecodeJob}
 
 
 def _add_override_flags(p: argparse.ArgumentParser, include_strategy: bool = True) -> None:
-    if include_strategy:
-        p.add_argument("--strategy", choices=STRATEGIES, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--top-p", dest="top_p", type=float, default=None)
-    p.add_argument("--repetition-penalty", dest="repetition_penalty", type=float, default=None)
-    p.add_argument("--max-new-tokens", dest="max_new_tokens", type=int, default=None)
-    p.add_argument("--warmup-steps", dest="warmup_steps", type=int, default=None)
-    p.add_argument("--warmup-slope", dest="warmup_slope", type=float, default=None)
-    p.add_argument("--trace-out", dest="trace_out", default=None)
+    for name, (section, key) in _OVERRIDE_PATHS.items():
+        if name == "strategy":
+            if include_strategy:
+                p.add_argument("--strategy", choices=STRATEGIES, default=None)
+            continue
+        cls = _SECTION_FIELDS.get(section)
+        kind = str if cls is None else type(getattr(cls, key))
+        p.add_argument("--" + name.replace("_", "-"), type=kind, default=None)
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict:
-    return {name: getattr(args, name, None) for name in _OVERRIDE_FLAGS}
+    return {name: getattr(args, name, None) for name in _OVERRIDE_PATHS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,15 +122,25 @@ def _write_outputs(cfg: LoadedConfig, result: DecodeResult, trace_path: str | No
 
 def cmd_decode(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, overrides=_collect_overrides(args))
-    rt = build_runtime(cfg)
-    result = decode(rt.make_job())
+    job = build_runtime(cfg)
+    result = decode(job)
     _write_outputs(cfg, result, cfg.effective["output"]["trace"])
-    print(f"strategy={rt.guidance.strategy} finish={result.finish_reason} tokens={len(result.tokens)}")
+    print(f"strategy={job.guidance.strategy} finish={result.finish_reason} tokens={len(result.tokens)}")
     print(result.text)
     if result.finish_reason == "error":
         print(f"decode failed: {result.error}", file=sys.stderr)
         return 5
     return 0
+
+
+def _row_job(job: DecodeJob, row: str) -> DecodeJob:
+    """The config's job run as one BENCH_ROWS row."""
+    strategy, dup_omni = BENCH_ROWS[row]
+    return replace(
+        job,
+        guidance=replace(job.guidance, strategy=strategy),
+        neg_payload=job.prompt.payload if dup_omni else None,
+    )
 
 
 def _strategy_trace_path(base: str, strategy: str) -> str:
@@ -150,12 +149,11 @@ def _strategy_trace_path(base: str, strategy: str) -> str:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    overrides = _collect_overrides(args)
-    cfg = load_config(args.config, overrides=overrides)
+    cfg = load_config(args.config, overrides=_collect_overrides(args))
     strategies = args.strategies or cfg.effective["compare"]["strategies"]
     if not strategies:
         raise ConfigError("no strategies to compare (set compare.strategies or --strategy)")
-    rt = build_runtime(cfg)
+    job = build_runtime(cfg)
     gold = cfg.effective["compare"]["gold"]
     options = cfg.effective["compare"]["options"] or ([gold] if gold else None)
     trace_base = cfg.effective["output"]["trace"]
@@ -163,7 +161,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows = []
     seen_outputs: dict[tuple, str] = {}
     for strategy in strategies:
-        result = decode(rt.make_job(strategy))
+        result = decode(_row_job(job, strategy))
         if result.finish_reason == "error":
             print(f"strategy {strategy} failed: {result.error}", file=sys.stderr)
             return 5
@@ -196,61 +194,34 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _latency_from_config(cfg: LoadedConfig) -> LatencyModel:
-    lat = cfg.effective["bench"]["latency"]
-    return LatencyModel(
-        per_token_prefill=lat["per_token_prefill_ms"] / 1e3,
-        per_step=lat["per_step_ms"] / 1e3,
-        omni_payload_factor=lat["per_kib_ms"] / 1e3,
-    )
+def _latency_model(
+    per_token_prefill_ms: float, per_step_ms: float, per_kib_ms: float
+) -> LatencyModel:
+    """LatencyModel from the millisecond figures of bench.latency and serve's flags."""
+    return LatencyModel(per_token_prefill_ms / 1e3, per_step_ms / 1e3, per_kib_ms / 1e3)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    overrides = {"seed": args.seed} if args.seed is not None else {}
-    cfg = load_config(args.config, overrides=overrides)
-    reps = args.reps if args.reps is not None else cfg.effective["bench"]["repetitions"]
-    if reps < 1:
-        raise ConfigError("bench repetitions must be >= 1")
-    rows = cfg.effective["bench"]["rows"]
-    if "none" not in rows:
-        raise ConfigError("bench.rows must include the 'none' baseline row")
-
-    latency = _latency_from_config(cfg)
+    cfg = load_config(args.config, overrides=_collect_overrides(args))
+    bench_cfg = cfg.effective["bench"]
+    latency = _latency_model(**bench_cfg["latency"])
     servers = []
     # One compute lock across both fixture servers: all branches contend
     # for a single simulated accelerator, so N-branch stepping costs N
     # baseline steps and the measured ratios are analytically predictable.
     accelerator = threading.Lock()
     try:
-        base_source = guide_source = None
-        base_entry = cfg.effective["sources"]["base"]
-        if "toy_spec" in base_entry:
-            srv = serve(
-                build_toy_model(base_entry["toy_spec"], name="base"),
-                latency,
-                compute_lock=accelerator,
-            )
-            servers.append(srv)
-            base_source = RemoteSource(srv.endpoint)
-        guide_entry = cfg.effective["sources"]["guide"]
-        if guide_entry is not None and "toy_spec" in guide_entry:
-            srv = serve(
-                build_toy_model(guide_entry["toy_spec"], name="guide"),
-                latency,
-                compute_lock=accelerator,
-            )
-            servers.append(srv)
-            guide_source = RemoteSource(srv.endpoint)
-        rt = build_runtime(cfg, base_source=base_source, guide_source=guide_source)
-
-        jobs = {}
-        for row in rows:
-            strategy, dup_omni = BENCH_ROWS[row]
-            if "guide" in STRATEGIES[strategy].branches and rt.guide_source is None:
-                raise ConfigError(f"bench row {row!r} needs a guide source in the config")
-            jobs[row] = rt.make_job(strategy, duplicate_omni_neg=dup_omni)
-        report = bench(jobs, repetitions=reps)
-        print(report.format_table())
+        sources = {}
+        for name, entry in cfg.effective["sources"].items():
+            if entry is not None and "toy_spec" in entry:
+                model = build_toy_model(entry["toy_spec"], name=name)
+                srv = serve(model, latency, compute_lock=accelerator)
+                servers.append(srv)
+                sources[f"{name}_source"] = RemoteSource(srv.endpoint)
+        job = build_runtime(cfg, **sources)
+        jobs = {row: _row_job(job, row) for row in bench_cfg["rows"]}
+        reps = args.reps if args.reps is not None else bench_cfg["repetitions"]
+        print(bench(jobs, repetitions=reps).format_table())
         return 0
     finally:
         for srv in servers:
@@ -279,11 +250,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     model = build_toy_model(args.toy_spec)
-    latency = LatencyModel(
-        per_token_prefill=args.per_token_prefill_ms / 1e3,
-        per_step=args.per_step_ms / 1e3,
-        omni_payload_factor=args.per_kib_ms / 1e3,
-    )
+    latency = _latency_model(args.per_token_prefill_ms, args.per_step_ms, args.per_kib_ms)
     server = serve(model, latency, host=args.host, port=args.port)
     host, port = server.address
     if args.port_file:

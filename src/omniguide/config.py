@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import yaml
@@ -33,9 +33,10 @@ ENV_BASE_ENDPOINT = "OMNIGUIDE_BASE_ENDPOINT"
 ENV_GUIDE_ENDPOINT = "OMNIGUIDE_GUIDE_ENDPOINT"
 ENV_SEED = "OMNIGUIDE_SEED"
 
-# Bench rows by name: (strategy, whether the neg branch re-processes the
-# omni payload). Every strategy runs under its own name; vcd_dup_omni is
-# the two-branch ablation re-processing the payload on its contrast branch.
+# Bench and compare rows by name: (strategy, whether the neg branch
+# re-processes the omni payload). Every strategy runs under its own name;
+# vcd_dup_omni is the two-branch ablation re-processing the payload on its
+# contrast branch.
 BENCH_ROWS = {name: (name, False) for name in STRATEGIES} | {
     "vcd_dup_omni": ("vcd_ablation", True)
 }
@@ -170,7 +171,9 @@ def _normalize_prompt(section, config_dir: Path) -> dict:
 
     out["think_tag"] = _get(section, "think_tag", "", str, "prompt")
     stop = section.get("stop", [])
-    if not isinstance(stop, list) or not all(isinstance(s, (str, int)) for s in stop):
+    if not isinstance(stop, list) or not all(
+        isinstance(s, (str, int)) and not isinstance(s, bool) for s in stop
+    ):
         raise ConfigError("prompt.stop must be a list of token strings or ids")
     out["stop"] = list(stop)
     return out
@@ -179,9 +182,8 @@ def _normalize_prompt(section, config_dir: Path) -> dict:
 def load_config(path, env=None, overrides: dict | None = None) -> LoadedConfig:
     """Read, override, validate, and materialize a config file.
 
-    env defaults to os.environ; overrides maps flag names (strategy, alpha,
-    seed, temperature, top_p, repetition_penalty, max_new_tokens,
-    warmup_steps, warmup_slope, trace_out) to values, applied last.
+    env defaults to os.environ; overrides maps names of _OVERRIDE_PATHS
+    to values, applied last (None leaves the value as it is).
     """
     env = os.environ if env is None else env
     p = Path(path)
@@ -297,18 +299,20 @@ def load_config(path, env=None, overrides: dict | None = None) -> LoadedConfig:
     return LoadedConfig(effective=effective, fingerprint=fingerprint, config_dir=config_dir)
 
 
+# The one list of command-line overrides: flag name -> (section, key) of
+# the effective config. The CLI makes one --flag-with-dashes per entry, in
+# this order, typed like the dataclass field it overrides.
 _OVERRIDE_PATHS = {
     "strategy": ("guidance", "strategy"),
     "alpha": ("guidance", "alpha"),
-    "warmup_steps": ("guidance", "warmup_steps"),
-    "warmup_slope": ("guidance", "warmup_slope"),
     "seed": ("sampler", "seed"),
     "temperature": ("sampler", "temperature"),
     "top_p": ("sampler", "top_p"),
     "repetition_penalty": ("sampler", "repetition_penalty"),
     "max_new_tokens": ("decode", "max_new_tokens"),
+    "warmup_steps": ("guidance", "warmup_steps"),
+    "warmup_slope": ("guidance", "warmup_slope"),
     "trace_out": ("output", "trace"),
-    "text_out": ("output", "text"),
 }
 
 
@@ -379,44 +383,12 @@ def _build_source(entry: dict) -> LogitSource:
     return RemoteSource(entry["endpoint"])
 
 
-@dataclass
-class Runtime:
-    """Config materialized into live objects, ready to build decode jobs."""
-
-    config: LoadedConfig
-    base_source: LogitSource
-    guide_source: LogitSource | None
-    prompt: PromptInput
-    think_tag: tuple[int, ...]
-    stop_tokens: frozenset[int]
-    guidance: GuidanceConfig
-    sampler: SamplerConfig
-    max_new_tokens: int
-
-    def make_job(
-        self, strategy: str | None = None, duplicate_omni_neg: bool = False
-    ) -> DecodeJob:
-        guidance = self.guidance
-        if strategy is not None and strategy != guidance.strategy:
-            guidance = replace(guidance, strategy=strategy)
-        return DecodeJob(
-            base_source=self.base_source,
-            guide_source=self.guide_source,
-            prompt=self.prompt,
-            guidance=guidance,
-            sampler=self.sampler,
-            max_new_tokens=self.max_new_tokens,
-            stop_tokens=self.stop_tokens,
-            think_tag=self.think_tag,
-            neg_payload=self.prompt.payload if duplicate_omni_neg else None,
-        )
-
-
-def build_runtime(cfg: LoadedConfig, base_source=None, guide_source=None) -> Runtime:
-    """Instantiate sources and resolve token ids for a loaded config.
+def build_runtime(cfg: LoadedConfig, base_source=None, guide_source=None) -> DecodeJob:
+    """The decode job a loaded config describes: sources built, token ids resolved.
 
     Pre-built sources may be injected (the bench command points them at
-    freshly started servers); otherwise they come from the config.
+    freshly started servers); otherwise they come from the config. Callers
+    vary the job with dataclasses.replace.
     """
     eff = cfg.effective
     if base_source is None:
@@ -449,15 +421,13 @@ def build_runtime(cfg: LoadedConfig, base_source=None, guide_source=None) -> Run
             except KeyError:
                 raise ConfigError(f"stop token {entry!r} is not in the vocabulary") from None
 
-    payload = _build_payload(prompt_sec["omni"])
-    return Runtime(
-        config=cfg,
+    return DecodeJob(
         base_source=base_source,
         guide_source=guide_source,
-        prompt=PromptInput(tokens=tokens, payload=payload),
-        think_tag=think_tag,
-        stop_tokens=frozenset(stop_ids),
+        prompt=PromptInput(tokens=tokens, payload=_build_payload(prompt_sec["omni"])),
         guidance=GuidanceConfig(**eff["guidance"]),
         sampler=SamplerConfig(**eff["sampler"]),
         max_new_tokens=eff["decode"]["max_new_tokens"],
+        stop_tokens=frozenset(stop_ids),
+        think_tag=think_tag,
     )

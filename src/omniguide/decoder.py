@@ -122,12 +122,6 @@ def _fuse(job: DecodeJob, z: dict[str, np.ndarray], t: int):
     return mix(coeffs.values(), [z[name] for name in coeffs]), trace
 
 
-def _timed_logits(session: Session) -> tuple[np.ndarray, float]:
-    t0 = time.perf_counter()
-    z = session.logits()
-    return z, time.perf_counter() - t0
-
-
 def _timed_step(session: Session, token: int) -> tuple[np.ndarray, float]:
     t0 = time.perf_counter()
     z = session.step(token)

@@ -175,8 +175,12 @@ class ModelServer:
                     self._fail(err)
 
             def _read_body(self) -> dict:
-                length = int(self.headers.get("Content-Length") or 0)
-                raw = self.rfile.read(length)
+                length = self.headers.get("Content-Length") or "0"
+                if not length.isdecimal():
+                    # Where the body ends is unknown, so the connection cannot be reused.
+                    self.close_connection = True
+                    raise _ApiError(400, "malformed", f"Content-Length {length!r} is not a byte count")
+                raw = self.rfile.read(int(length))
                 try:
                     body = json.loads(raw.decode("utf-8"))
                 except (UnicodeDecodeError, json.JSONDecodeError) as exc:

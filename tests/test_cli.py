@@ -12,7 +12,7 @@ import yaml
 
 from omniguide import ConfigError, load_config, read_traces
 from omniguide.cli import main
-from omniguide.config import build_runtime
+from omniguide.config import _OVERRIDE_PATHS, build_runtime
 
 from conftest import CONFIG_DIR
 
@@ -145,6 +145,7 @@ class TestConfigLoading:
             ("sampler", "seed", None),
             ("decode", "max_new_tokens", 0),
             ("decode", "max_new_tokens", None),
+            ("prompt", "stop", [True]),
         ]:
             bad = base_config()
             bad.setdefault(section, {})[key] = value
@@ -247,6 +248,29 @@ class TestDecodeCommand:
         assert main(["decode", "--config", path]) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    def test_every_override_flag_lands_in_effective(self, tmp_path, capsys):
+        trace = str(tmp_path / "flagged.jsonl")
+        values = {
+            "strategy": "average_fusion",
+            "alpha": 0.5,
+            "seed": 7,
+            "temperature": 0.9,
+            "top_p": 0.8,
+            "repetition_penalty": 1.2,
+            "max_new_tokens": 5,
+            "warmup_steps": 2,
+            "warmup_slope": 0.3,
+            "trace_out": trace,
+        }
+        argv = ["decode", "--config", write_config(tmp_path, base_config())]
+        for name in _OVERRIDE_PATHS:
+            argv += ["--" + name.replace("_", "-"), str(values[name])]
+        assert main(argv) == 0
+        header, _ = read_traces(trace)
+        for name, (section, key) in _OVERRIDE_PATHS.items():
+            landed = header.effective_config[section][key]
+            assert landed == values[name] and type(landed) is type(values[name]), name
 
     def test_env_seed_honored_via_cli(self, tmp_path, capsys, monkeypatch):
         trace = tmp_path / "t.jsonl"

@@ -56,11 +56,11 @@ class Reply:
         return np.frombuffer(self.content, dtype="<f8")
 
 
-def request(address, method, path, body: bytes | None = None, timeout=5.0) -> Reply:
+def request(address, method, path, body: bytes | None = None, timeout=5.0, headers=None) -> Reply:
     """One request on a fresh connection to (host, port)."""
     conn = http.client.HTTPConnection(*address, timeout=timeout)
     try:
-        conn.request(method, path, body)
+        conn.request(method, path, body, headers or {})
         return Reply(conn.getresponse())
     finally:
         conn.close()
@@ -199,6 +199,15 @@ class TestErrorCodes:
         # Unknown path.
         resp = post(server, "frobnicate", {})
         assert resp.status_code == 404
+        # Content-Length that is not a byte count.
+        body = json.dumps({"protocol_version": PROTOCOL_VERSION, "prompt_tokens": [0]}).encode()
+        for length in ("abc", "-5"):
+            resp = request(
+                server.address, "POST", "/v1/open", body, headers={"Content-Length": length}
+            )
+            assert resp.status_code == 400
+            assert resp.json()["error"]["code"] == "malformed"
+        assert server.live_sessions == 0
 
     def test_unsupported_protocol_code(self, server):
         # A peer still speaking protocol "1" is refused.
