@@ -8,27 +8,46 @@ One decode job drives up to three sessions over the same token stream:
 
 Each step gathers one logit vector per branch, fuses them under the
 configured strategy, samples exactly one token, and broadcasts it to every
-open session so all branches stay on the same prefix. Branches run
-concurrently (on a thread pool, joined before fusion) only when one of them
-is a remote source; in-process branches are called in turn on the calling
-thread, where a pool would only add dispatch and lock contention.
-Per-branch wall-clock latencies land in the step traces; prefill and
-generate timings mirror the two phases of cached inference.
+open session so all branches stay on the same prefix.
+
+The engine work of a step runs in a per-decode ``guidance.Workspace``: each
+branch's row is validated once as it arrives and, for a strategy weighted by
+JS divergence (stepwise), prepared once (softmax and floored log, shared by
+both JS terms) into preallocated buffers; the mix, penalty, temperature and
+sampling softmax then overwrite one fused buffer, and the draw looks at the
+nucleus only.
+
+Branches run concurrently (on a thread pool, joined before fusion) only when
+one of them is a remote source; in-process branches are called in turn on
+the calling thread, where a pool would only add dispatch and lock
+contention. From LANE_MIN_VOCAB tokens up, a divergence-weighted decode also
+shares the preparations and the JS terms between two lanes, since numpy
+releases the GIL in its kernels: the calling thread and one helper thread
+(in process) or pool thread (over HTTP) each take the next task left
+(``guidance.share``). In process, the preparations start once the branch
+calls are done; over HTTP, each pool thread prepares its own branch as the
+reply lands, and only the JS terms are shared.
+
+Per-branch wall-clock latencies, the engine's share of each step and the
+nucleus size land in the step traces; prefill and generate timings mirror
+the two phases of cached inference.
 """
 
 from __future__ import annotations
 
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Executor, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .client import RemoteSource
 from .errors import EngineError
-from .guidance import STRATEGIES, GuidanceConfig, mix
+from .guidance import STRATEGIES, GuidanceConfig, Workspace, share
 from .report import StepTrace
-from .sampler import SamplerConfig, make_rng, sample_token
+from .sampler import SamplerConfig, make_rng, sample_into
 from .sources import (
     LogitSource,
     OmniPayload,
@@ -116,10 +135,29 @@ def _branch_prompts(job: DecodeJob) -> dict[str, tuple[LogitSource, PromptInput]
     return prompts
 
 
-def _fuse(job: DecodeJob, z: dict[str, np.ndarray], t: int):
-    """Fused logits plus the (alpha_r, alpha_p, d_r, d_p) trace tuple."""
-    coeffs, trace = STRATEGIES[job.guidance.strategy].weights(z, t, job.guidance)
-    return mix(coeffs.values(), [z[name] for name in coeffs]), trace
+# Vocabulary size from which a divergence-weighted decode uses two lanes.
+# Below it, waking the other lane costs more than it saves. Mean in-process
+# stepwise step over 12-30 decodes of 16 tokens, one lane vs two, on 2 CPUs:
+# V=32,768 1.67 vs 1.83 ms, V=40,960 2.07 vs 2.08 and 2.30 vs 2.16,
+# V=49,152 2.68 vs 2.36, V=65,536 3.27 vs 2.69, V=152,064 8.74 vs 7.53.
+LANE_MIN_VOCAB = 49_152
+
+
+# Each thread keeps its last decode's workspace for its next one. Fresh
+# buffers for every decode (about 16 MB at V=152,064) cost a page fault per
+# 4 KiB once the allocator has handed the last decode's memory back to the
+# system: about 4 ms of a 12 ms prefill, measured on 2 CPUs.
+_spare = threading.local()
+
+
+def _take_workspace(cfg: GuidanceConfig, size: int) -> Workspace:
+    ws = getattr(_spare, "ws", None)
+    _spare.ws = None  # a decode nested in this one gets its own
+    if ws is None or ws.size != size or ws.row is not STRATEGIES[cfg.strategy]:
+        return Workspace(cfg, size)
+    ws.cfg = cfg
+    ws.zeros.fill(0.0)
+    return ws
 
 
 def _timed_step(session: Session, token: int) -> tuple[np.ndarray, float]:
@@ -128,20 +166,34 @@ def _timed_step(session: Session, token: int) -> tuple[np.ndarray, float]:
     return z, time.perf_counter() - t0
 
 
-def _gather(pool: ThreadPoolExecutor | None, work: dict):
-    """Run one round of branch calls and return their results by branch.
+def _gather(pool: Executor | None, lane: Executor | None, ws: Workspace, calls: dict):
+    """Run one round of branch calls, admit each row into ws, and return each call's seconds.
 
-    Without a pool the calls run in turn, in branch order, on the calling
-    thread, and the first failure raises at once. With one they run
-    concurrently, and every call finishes before the first failure (in
-    branch order) is raised, so no branch is still using its session when
-    the caller goes on to close it.
+    With a pool the calls run concurrently and each pool thread admits its
+    own row as it lands, so a branch's preparation overlaps the others'
+    transport; every call finishes before the first failure (in branch
+    order) is raised, so no branch is still using its session when the
+    caller goes on to close it. Without one the calls run in turn, in
+    branch order, on the calling thread, and the first failure raises at
+    once; then the rows are admitted, shared with the lane when there is
+    one. The lane starts only after the calls: run next to a source's many
+    small numpy calls, it would hand the GIL back and forth at each of them.
     """
-    if pool is None:
-        return {name: fn() for name, fn in work.items()}
-    futures = {name: pool.submit(fn) for name, fn in work.items()}
-    wait(futures.values())
-    return {name: fut.result() for name, fut in futures.items()}
+    if pool is not None:
+
+        def call_and_admit(name, call):
+            z, dt = call()
+            ws.admit(name, z)
+            return dt
+
+        futures = {name: pool.submit(call_and_admit, name, call) for name, call in calls.items()}
+        wait(futures.values())
+        return {name: fut.result() for name, fut in futures.items()}
+    seconds, rows = {}, {}
+    for name, call in calls.items():
+        rows[name], seconds[name] = call()
+    share(lane, [partial(ws.admit, name, z) for name, z in rows.items()])
+    return seconds
 
 
 def decode(job: DecodeJob, *, stage: str | None = None, rng=None) -> DecodeResult:
@@ -158,6 +210,7 @@ def decode(job: DecodeJob, *, stage: str | None = None, rng=None) -> DecodeResul
     prompts = _branch_prompts(job)
     if rng is None:
         rng = make_rng(job.sampler)
+    ws = _take_workspace(job.guidance, vocab.size)
 
     sessions: dict[str, Session] = {}
     tokens: list[int] = []
@@ -172,6 +225,9 @@ def decode(job: DecodeJob, *, stage: str | None = None, rng=None) -> DecodeResul
     prefill_s = 0.0
     remote = any(isinstance(src, RemoteSource) for src, _ in prompts.values())
     pool = ThreadPoolExecutor(len(prompts)) if remote and len(prompts) > 1 else None
+    lane = None
+    if ws.row.divergences and vocab.size >= LANE_MIN_VOCAB:
+        lane = pool or ThreadPoolExecutor(1, thread_name_prefix="omniguide-lane")
     try:
         try:
             def _open(name: str, src: LogitSource, prompt: PromptInput):
@@ -182,22 +238,18 @@ def decode(job: DecodeJob, *, stage: str | None = None, rng=None) -> DecodeResul
                 z = sess.logits()
                 return z, time.perf_counter() - t0
 
-            opened = _gather(
-                pool,
-                {name: (lambda n=name, sp=sp: _open(n, *sp)) for name, sp in prompts.items()},
+            t_round = t_start
+            lat = _gather(
+                pool, lane, ws, {name: partial(_open, name, *sp) for name, sp in prompts.items()}
             )
-            z: dict[str, np.ndarray] = {}
-            lat: dict[str, float] = {}
-            for name, (logits, dt) in opened.items():
-                z[name] = logits
-                lat[name] = dt
-                branch_prefill[name] = dt
+            t_gathered = time.perf_counter()
+            branch_prefill = dict(lat)
 
             history = list(job.prompt.tokens) if job.sampler.penalize_prompt else []
             t_prev = None
             for t in range(1, job.max_new_tokens + 1):
-                fused, (alpha_r, alpha_p, d_r, d_p) = _fuse(job, z, t)
-                token = sample_token(fused, history, job.sampler, rng)
+                fused, (alpha_r, alpha_p, d_r, d_p) = ws.fuse(t, lane)
+                token, nucleus = sample_into(fused, history, job.sampler, rng, ws.zeros)
                 tokens.append(token)
                 history.append(token)
                 now = time.perf_counter()
@@ -206,6 +258,9 @@ def decode(job: DecodeJob, *, stage: str | None = None, rng=None) -> DecodeResul
                 else:
                     step_intervals.append(now - t_prev)
                 t_prev = now
+                # The engine's share is the round's time outside branch
+                # calls; with a pool, the whole gather counts as calls.
+                in_calls = t_gathered - t_round if pool is not None else sum(lat.values())
                 traces.append(
                     StepTrace(
                         t=t,
@@ -218,6 +273,8 @@ def decode(job: DecodeJob, *, stage: str | None = None, rng=None) -> DecodeResul
                         lat_base_ms=lat.get("base", 0.0) * 1e3,
                         lat_neg_ms=lat.get("neg", 0.0) * 1e3,
                         lat_guide_ms=lat.get("guide", 0.0) * 1e3,
+                        engine_ms=(now - t_round - in_calls) * 1e3,
+                        nucleus=nucleus,
                         stage=stage,
                     )
                 )
@@ -227,16 +284,15 @@ def decode(job: DecodeJob, *, stage: str | None = None, rng=None) -> DecodeResul
                 if t == job.max_new_tokens:
                     finish = "length_limit"
                     break
-                stepped = _gather(
+                t_round = time.perf_counter()
+                lat = _gather(
                     pool,
-                    {
-                        name: (lambda s=sessions[name], tok=token: _timed_step(s, tok))
-                        for name in opened
-                    },
+                    lane,
+                    ws,
+                    {name: partial(_timed_step, sessions[name], token) for name in prompts},
                 )
-                for name, (logits, dt) in stepped.items():
-                    z[name] = logits
-                    lat[name] = dt
+                t_gathered = time.perf_counter()
+                for name, dt in lat.items():
                     branch_generate[name] += dt
         except EngineError as exc:
             finish = "error"
@@ -247,8 +303,10 @@ def decode(job: DecodeJob, *, stage: str | None = None, rng=None) -> DecodeResul
                 sess.close()
             except Exception:
                 pass
-        if pool is not None:
-            pool.shutdown(wait=True)
+        for executor in {pool, lane} - {None}:
+            executor.shutdown(wait=True)
+        ws.z.clear()
+        _spare.ws = ws
 
     total = time.perf_counter() - t_start
     if finish == "error" and not tokens:

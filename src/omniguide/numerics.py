@@ -6,7 +6,12 @@ Jensen-Shannon divergence is bounded by ln 2. The log base is fixed here
 (and stamped into trace headers) because the downstream clip-to-[0,1] of
 divergence differences makes the base observable.
 
-All functions are pure; inputs are never mutated.
+The public functions are pure; inputs are never mutated. Each formula is
+stated once, in a kernel that takes trusted float64 arrays and writes into
+caller-owned buffers (``softmax_into``, ``log_floor_into``,
+``js_prepared``): the public functions validate, allocate and call them,
+and the decoder's per-decode workspace calls them on its preallocated
+buffers.
 """
 
 from __future__ import annotations
@@ -62,14 +67,26 @@ def as_prob_dist(values: Iterable[float] | np.ndarray) -> np.ndarray:
     return p
 
 
+def softmax_into(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Softmax of trusted logits z into out (which may be z itself)."""
+    np.subtract(z, z.max(), out=out)
+    np.exp(out, out=out)
+    out /= out.sum()
+    return out
+
+
+def log_floor_into(p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """log(max(p, tiny)) into out (which may be p itself).
+
+    The floor makes log(0) finite, so a term 0 * log(0) is exactly 0.
+    """
+    return np.log(np.maximum(p, _TINY, out=out), out=out)
+
+
 def softmax(logits: Iterable[float] | np.ndarray) -> np.ndarray:
     """Softmax with max-subtraction, invariant to constant shifts."""
     z = as_logits(logits)
-    # One new array, updated in place (see js_divergence).
-    e = z - z.max()
-    np.exp(e, out=e)
-    e /= e.sum()
-    return e
+    return softmax_into(z, np.empty_like(z))
 
 
 def _masked_kl(p: np.ndarray, q: np.ndarray) -> float:
@@ -90,6 +107,27 @@ def kl_divergence(p: Iterable[float] | np.ndarray, q: Iterable[float] | np.ndarr
     return _masked_kl(p, q)
 
 
+def js_prepared(
+    p: np.ndarray,
+    log_p: np.ndarray,
+    q: np.ndarray,
+    log_q: np.ndarray,
+    m: np.ndarray,
+    r: np.ndarray,
+) -> float:
+    """JS(p||q) from two trusted distributions and their log_floor_into logs.
+
+    m and r are work buffers of the same length. log(m) is floored like
+    the inputs, and rounding outside [0, ln 2] is clipped.
+    """
+    np.add(p, q, out=m)
+    m *= 0.5
+    log_floor_into(m, m)
+    kl_p = float(np.einsum("i,i->", p, np.subtract(log_p, m, out=r)))
+    kl_q = float(np.einsum("i,i->", q, np.subtract(log_q, m, out=r)))
+    return min(max(0.5 * kl_p + 0.5 * kl_q, 0.0), LN2)
+
+
 def js_divergence(p: Iterable[float] | np.ndarray, q: Iterable[float] | np.ndarray) -> float:
     """Jensen-Shannon divergence in nats: JS(p||q) in [0, ln 2].
 
@@ -104,15 +142,7 @@ def js_divergence(p: Iterable[float] | np.ndarray, q: Iterable[float] | np.ndarr
     q = as_prob_dist(q)
     if p.shape != q.shape:
         raise DimensionError(f"length mismatch: {p.size} vs {q.size}")
-    # Two buffers for the whole computation: each fresh vocabulary-sized
-    # temporary costs about as much as the arithmetic done in it.
-    log_m = np.add(p, q)
-    log_m *= 0.5
-    np.log(np.maximum(log_m, _TINY, out=log_m), out=log_m)
-    log_ratio = np.empty_like(log_m)
-    kl = []
-    for x in (p, q):
-        np.log(np.maximum(x, _TINY, out=log_ratio), out=log_ratio)
-        log_ratio -= log_m
-        kl.append(float(np.einsum("i,i->", x, log_ratio)))
-    return min(max(0.5 * kl[0] + 0.5 * kl[1], 0.0), LN2)
+    log_p = log_floor_into(p, np.empty_like(p))
+    log_q = log_floor_into(q, np.empty_like(q))
+    # The logs are dead once subtracted, so they double as the work buffer r.
+    return js_prepared(p, log_p, q, log_q, np.empty_like(p), log_p)

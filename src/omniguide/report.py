@@ -6,9 +6,10 @@ and reproduce the run (config fingerprint, divergence log base, seed, the
 full effective config) and deliberately carries no wall-clock timestamps so
 two identical runs produce identical headers. Step records use fixed field
 names: t, token_id, token, alpha_r, alpha_p, d_r, d_p, lat_base_ms,
-lat_neg_ms, lat_guide_ms (plus an optional stage marker for multi-stage
-pipelines). Latency fields are measured wall-clock and are the only fields
-excluded from determinism comparisons.
+lat_neg_ms, lat_guide_ms, engine_ms, nucleus (plus an optional stage marker
+for multi-stage pipelines). The latency fields (lat_*_ms and engine_ms) are
+measured wall-clock and are the only fields excluded from determinism
+comparisons.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ class StepTrace:
     lat_base_ms: float = 0.0
     lat_neg_ms: float = 0.0
     lat_guide_ms: float = 0.0
+    # The calling thread's wall time for this token outside branch calls:
+    # validation and preparation done on it, waits for the helper lane,
+    # weights, mix and sampling.
+    engine_ms: float = 0.0
+    nucleus: int = 0  # tokens kept by top-p for the draw
     stage: str | None = None
 
     def to_record(self) -> dict:
@@ -54,6 +60,8 @@ class StepTrace:
             "lat_base_ms": self.lat_base_ms,
             "lat_neg_ms": self.lat_neg_ms,
             "lat_guide_ms": self.lat_guide_ms,
+            "engine_ms": self.engine_ms,
+            "nucleus": self.nucleus,
         }
         if self.stage is not None:
             rec["stage"] = self.stage
@@ -72,6 +80,8 @@ class StepTrace:
             lat_base_ms=float(rec.get("lat_base_ms", 0.0)),
             lat_neg_ms=float(rec.get("lat_neg_ms", 0.0)),
             lat_guide_ms=float(rec.get("lat_guide_ms", 0.0)),
+            engine_ms=float(rec.get("engine_ms", 0.0)),
+            nucleus=int(rec.get("nucleus", 0)),
             stage=rec.get("stage"),
         )
 

@@ -353,7 +353,7 @@ def test_criterion_8_cli_determinism(capsys, tmp_path):
         assert header_a.config_fingerprint == header_b.config_fingerprint
         assert header_a.seed == header_b.seed
         assert len(steps_a) == len(steps_b)
-        timing_fields = {"lat_base_ms", "lat_neg_ms", "lat_guide_ms"}
+        timing_fields = {"lat_base_ms", "lat_neg_ms", "lat_guide_ms", "engine_ms"}
         for left, right in zip(steps_a, steps_b):
             rec_l = {k: v for k, v in left.to_record().items() if k not in timing_fields}
             rec_r = {k: v for k, v in right.to_record().items() if k not in timing_fields}

@@ -8,6 +8,7 @@ from omniguide import (
     DecodeJob,
     EngineError,
     GuidanceConfig,
+    OmniPayload,
     PromptInput,
     RemoteSource,
     SamplerConfig,
@@ -21,6 +22,7 @@ from omniguide import (
     sample_token,
     serve,
 )
+from omniguide import decoder as decoder_module
 from omniguide.sampler import make_rng
 
 from conftest import (
@@ -28,6 +30,7 @@ from conftest import (
     FLOATS,
     METAL,
     PLASTIC,
+    RowModel,
     SINKS,
     THINK,
     WHAT,
@@ -438,6 +441,114 @@ class TestBranchDispatch:
         assert len(base.sessions) == 2 and len(guide.sessions) == 1
         assert all(s.closed for s in base.sessions + guide.sessions)
         assert set(threading.enumerate()) == before
+
+
+LANE_V = decoder_module.LANE_MIN_VOCAB
+
+
+def lane_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("omniguide-lane")]
+
+
+class ThreadSpy(RecordingSource):
+    """Records, at every step call, whether a lane thread is alive."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.saw_lane = []
+
+    def open(self, prompt):
+        sess = super().open(prompt)
+        real_step = sess.step
+
+        def step(token_id):
+            self.saw_lane.append(bool(lane_threads()))
+            return real_step(token_id)
+
+        sess.step = step
+        return sess
+
+
+class CorruptingSource(RecordingSource):
+    """Its sessions return corrupt(row) in place of the row from step at_step on."""
+
+    def __init__(self, inner, at_step, corrupt):
+        super().__init__(inner)
+        self.at_step, self.corrupt = at_step, corrupt
+
+    def open(self, prompt):
+        sess = super().open(prompt)
+        real_step = sess.step
+
+        def step(token_id):
+            z = real_step(token_id)
+            return self.corrupt(z) if len(sess.steps) >= self.at_step else z
+
+        sess.step = step
+        return sess
+
+
+def nan_at_7(z):
+    z = z.copy()
+    z[7] = np.nan
+    return z
+
+
+def weights(tr):
+    return (tr.alpha_r, tr.alpha_p, tr.d_r, tr.d_p, tr.nucleus)
+
+
+def lane_job(base, guide, seed, **kwargs):
+    defaults = dict(
+        base_source=base,
+        guide_source=guide,
+        prompt=PromptInput((3, 1, 4), OmniPayload(b"scene1 payload")),
+        sampler=SamplerConfig(seed=seed),
+        max_new_tokens=6,
+        think_tag=(LANE_V - 1,),
+    )
+    defaults.update(kwargs)
+    return DecodeJob(**defaults)
+
+
+class TestLanes:
+    """From LANE_MIN_VOCAB tokens up, stepwise preparation runs on two lanes."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lanes_are_bit_identical_to_serial(self, seed, monkeypatch):
+        base = ThreadSpy(RowModel(11, LANE_V, ("peaked", "flat", "underflow")))
+        guide = RowModel(23, LANE_V, ("peaked", "flat", "underflow"))
+        job = lane_job(base, guide, seed)
+        laned = decode(job)
+        assert any(base.saw_lane) and not lane_threads()
+        base.saw_lane.clear()
+        monkeypatch.setattr(decoder_module, "LANE_MIN_VOCAB", LANE_V + 1)
+        serial = decode(job)
+        assert not any(base.saw_lane)
+        assert laned.finish_reason == serial.finish_reason == "length_limit"
+        assert laned.tokens == serial.tokens
+        assert [weights(t) for t in laned.traces] == [weights(t) for t in serial.traces]
+
+    @pytest.mark.parametrize("branch", ["base", "guide"])
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [(nan_at_7, "NonFiniteError"), (lambda z: z[:-1], "DimensionError")],
+    )
+    def test_bad_row_mid_decode_is_an_error_result(self, branch, corrupt, error):
+        # base rows are prepared on the helper lane, guide rows on the
+        # calling thread.
+        base = RowModel(11, LANE_V)
+        guide = RowModel(23, LANE_V)
+        sources = {"base": RecordingSource(base), "guide": RecordingSource(guide)}
+        sources[branch] = CorruptingSource(base if branch == "base" else guide, 2, corrupt)
+        before = threading.active_count()
+        res = decode(lane_job(sources["base"], sources["guide"], 0))
+        assert res.finish_reason == "error"
+        assert res.error.startswith(f"{error}:")
+        assert len(res.tokens) == 2
+        opened = sources["base"].sessions + sources["guide"].sessions
+        assert len(opened) == 3 and all(s.closed for s in opened)
+        assert threading.active_count() == before
 
 
 CAPTION_BASE = """

@@ -1,3 +1,8 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +18,7 @@ from omniguide import (
     stepwise_alpha,
     stepwise_mix,
 )
+from omniguide.guidance import Workspace, share
 from omniguide.numerics import LN2, softmax
 
 from conftest import random_dist
@@ -20,8 +26,10 @@ from conftest import random_dist
 
 def fuse(strategy, t=1, cfg=None, **z):
     """Fused logits and trace of one registry row, as the decoder mixes them."""
-    coeffs, trace = STRATEGIES[strategy].weights(z, t, cfg or GuidanceConfig(strategy=strategy))
-    return mix(coeffs.values(), [z[name] for name in coeffs]), trace
+    ws = Workspace(cfg or GuidanceConfig(strategy=strategy), len(next(iter(z.values()))))
+    for name, row in z.items():
+        ws.admit(name, row)
+    return ws.fuse(t)
 
 
 def fixed(strategy, alpha, **z):
@@ -388,3 +396,69 @@ def test_stepwise_row_is_bit_identical_to_closed_form(data, t, a):
 def test_step_weights_is_plain_record():
     w = StepWeights(alpha_r=0.25, alpha_p=0.75, d_r=0.3, d_p=0.05)
     assert (w.alpha_r, w.alpha_p, w.d_r, w.d_p) == (0.25, 0.75, 0.3, 0.05)
+
+
+class TestShare:
+    """share runs each task once, on the calling thread or the lane."""
+
+    def test_results_in_task_order_without_a_lane(self):
+        assert share(None, [lambda i=i: i * i for i in range(5)]) == [0, 1, 4, 9, 16]
+
+    def test_caller_does_all_work_when_the_lane_never_starts(self):
+        release = threading.Event()
+        with ThreadPoolExecutor(1) as lane:
+            lane.submit(release.wait, 10)  # the lane's only thread is busy
+            ran_on = []
+            tasks = [lambda i=i: ran_on.append(threading.current_thread()) or i for i in range(4)]
+            assert share(lane, tasks) == [0, 1, 2, 3]
+            assert ran_on == [threading.current_thread()] * 4
+            release.set()
+
+    def test_first_failure_in_task_order_is_raised(self):
+        def fail(msg):
+            raise ValueError(msg)
+
+        ran = []
+        tasks = [lambda: ran.append(0), lambda: fail("first"), lambda: ran.append(2), lambda: fail("second")]
+        with ThreadPoolExecutor(1) as lane:
+            with pytest.raises(ValueError, match="first"):
+                share(lane, tasks)
+        assert sorted(ran) == [0, 2]
+
+    def test_every_task_runs_once_under_contention(self):
+        # Four callers, each with its own lane (8 threads on 2 CPUs), with
+        # the interpreter switching threads as often as it can.
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        counts = np.zeros((4, 30, 16), dtype=np.int64)
+        helpers = set()
+        failures = []
+        work = np.ones(4096)
+
+        def caller(c):
+            try:
+                with ThreadPoolExecutor(1) as lane:
+                    for r in range(30):
+                        def bump(i, c=c, r=r):
+                            counts[c, r, i] += 1
+                            np.sin(work).sum()  # releases the GIL
+                            if threading.current_thread().name.startswith("ThreadPoolExecutor"):
+                                helpers.add(c)
+                            return i
+
+                        assert share(lane, [partial(bump, i) for i in range(16)]) == list(range(16))
+            except Exception as exc:  # reported by the main thread
+                failures.append(exc)
+
+        try:
+            threads = [threading.Thread(target=caller, args=(c,)) for c in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old)
+        assert not failures
+        assert (counts == 1).all()
+        assert helpers  # the lanes did take tasks

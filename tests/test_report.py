@@ -109,6 +109,8 @@ class TestTracePersistence:
             "lat_base_ms",
             "lat_neg_ms",
             "lat_guide_ms",
+            "engine_ms",
+            "nucleus",
         }
 
     def test_unicode_tokens_round_trip(self, tmp_path):

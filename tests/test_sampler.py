@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from omniguide import SamplerConfig, apply_repetition_penalty, sample_token, top_p_filter
-from omniguide.sampler import TOP_P_HEAD, make_rng
+from omniguide.sampler import TOP_P_HEAD, draw, make_rng
 from omniguide.numerics import softmax
 
 from conftest import random_dist
@@ -189,6 +189,46 @@ class TestTopPMatchesFullSort:
     @pytest.mark.parametrize("top_p", [1.0, 0.95, 1e-9])
     def test_single_token_vocabulary(self, top_p):
         assert np.array_equal(top_p_filter(np.array([1.0]), top_p), [1.0])
+
+
+def pin_rows(kind, seed):
+    """Probability rows for the nucleus-draw pin: tie runs, zeros, near-uniform or peaked."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 3000))
+    if kind == "ties":
+        w = rng.integers(1, 4, size=n).astype(np.float64)
+    elif kind == "zeros":
+        w = rng.random(n) ** 4
+        w[rng.random(n) < 0.6] = 0.0
+        w[rng.integers(n)] = 1.0
+    elif kind == "uniform":
+        return softmax(rng.normal(0.0, 0.01, size=n))
+    else:
+        return softmax(rng.normal(0.0, 4.0, size=n))
+    return w / w.sum()
+
+
+class TestNucleusDraw:
+    """draw looks at the nucleus only and picks what a full-vector draw picks."""
+
+    @pytest.mark.parametrize("top_p", [0.95, 0.5, 1.0, 1e-9])
+    @pytest.mark.parametrize("kind", ["ties", "zeros", "uniform", "peaked"])
+    def test_matches_choice_over_filtered_vector(self, kind, top_p):
+        for seed in range(200):
+            p = pin_rows(kind, seed)
+            filtered = top_p_filter(p, top_p)
+            zeros = np.zeros_like(p)
+            tok, nucleus = draw(p, top_p, False, np.random.default_rng(seed), zeros)
+            assert tok == np.random.default_rng(seed).choice(p.size, p=filtered)
+            assert draw(p, top_p, True, np.random.default_rng(seed))[0] == np.argmax(filtered)
+            assert not zeros.any()
+            if top_p < 1.0:
+                assert nucleus == np.count_nonzero(filtered)
+
+    @pytest.mark.parametrize("top_p", [0.95, 1.0, 1e-9])
+    def test_single_token_vocabulary(self, top_p):
+        for greedy in (False, True):
+            assert draw(np.array([1.0]), top_p, greedy, np.random.default_rng(0)) == (0, 1)
 
 
 class TestSampleToken:
