@@ -24,7 +24,7 @@ from .guidance import (
     stepwise_alpha,
     stepwise_mix,
 )
-from .numerics import DIVERGENCE_LOG_BASE, LN2, js_divergence, kl_divergence, softmax
+from .numerics import DIVERGENCE_LOG_BASE, LN2, js_divergence, softmax
 from .report import (
     StepTrace,
     TraceHeader,
@@ -33,7 +33,6 @@ from .report import (
     extract_choice,
     read_traces,
     render_attribution,
-    tabulate,
 )
 from .sampler import SamplerConfig, apply_repetition_penalty, sample_token, top_p_filter
 from .client import RemoteSource
@@ -95,7 +94,6 @@ __all__ = [
     "emit_traces",
     "extract_choice",
     "js_divergence",
-    "kl_divergence",
     "load_config",
     "mix",
     "parse_toy_spec",
@@ -108,7 +106,6 @@ __all__ = [
     "softmax",
     "stepwise_alpha",
     "stepwise_mix",
-    "tabulate",
     "tokenize",
     "top_p_filter",
 ]

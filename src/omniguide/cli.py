@@ -16,6 +16,7 @@ import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
+from statistics import median
 
 from .config import _OVERRIDE_PATHS, BENCH_ROWS, LoadedConfig, build_runtime, load_config
 from .client import RemoteSource
@@ -177,14 +178,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 strategy,
                 len(result.tokens),
                 result.prefill_s * 1e3,
-                result.mean_step_s * 1e3,
+                median(result.step_s) * 1e3 if result.step_s else 0.0,
                 verdict,
                 "" if same_as == strategy else f"= {same_as}",
                 result.text,
             )
         )
 
-    header = f"{'strategy':<18} {'tokens':>6} {'prefill':>10} {'per-step':>10} {'correct':>8}  {'same':<12} output"
+    header = f"{'strategy':<18} {'tokens':>6} {'prefill':>10} {'step p50':>10} {'correct':>8}  {'same':<12} output"
     print(header)
     print("-" * len(header))
     for strategy, n, pre, step, verdict, same, text in rows:

@@ -376,10 +376,7 @@ def _build_payload(omni: dict | None) -> OmniPayload | None:
 
 def _build_source(entry: dict) -> LogitSource:
     if "toy_spec" in entry:
-        path = Path(entry["toy_spec"])
-        if not path.is_file():
-            raise ConfigError(f"toy spec file not found: {path}")
-        return build_toy_model(str(path))
+        return build_toy_model(entry["toy_spec"])
     return RemoteSource(entry["endpoint"])
 
 

@@ -29,8 +29,8 @@ calls are done; over HTTP, each pool thread prepares its own branch as the
 reply lands, and only the JS terms are shared.
 
 Per-branch wall-clock latencies, the engine's share of each step and the
-nucleus size land in the step traces; prefill and generate timings mirror
-the two phases of cached inference.
+nucleus size land in the step traces. The result's timings all derive from
+one clock: the time at which each token was sampled.
 """
 
 from __future__ import annotations
@@ -92,11 +92,11 @@ class DecodeResult:
     text: str
     finish_reason: str  # stop_token | length_limit | error
     traces: list[StepTrace]
+    # From the call until the first token was sampled; a decode that fails
+    # before its first token reports its whole wall time here.
     prefill_s: float = 0.0
-    generate_s: float = 0.0
-    mean_step_s: float = 0.0
-    branch_prefill_s: dict = field(default_factory=dict)
-    branch_generate_s: dict = field(default_factory=dict)
+    # The interval between each sampled token and the next.
+    step_s: tuple[float, ...] = ()
     error: str | None = None
 
 
@@ -215,14 +215,11 @@ def decode(job: DecodeJob, *, stage: str | None = None, rng=None) -> DecodeResul
     sessions: dict[str, Session] = {}
     tokens: list[int] = []
     traces: list[StepTrace] = []
+    ready: list[float] = []  # when each token was sampled
     finish = "length_limit"
     error_msg: str | None = None
-    branch_prefill: dict[str, float] = {}
-    branch_generate: dict[str, float] = dict.fromkeys(job.branches, 0.0)
-    step_intervals: list[float] = []
 
     t_start = time.perf_counter()
-    prefill_s = 0.0
     remote = any(isinstance(src, RemoteSource) for src, _ in prompts.values())
     pool = ThreadPoolExecutor(len(prompts)) if remote and len(prompts) > 1 else None
     lane = None
@@ -243,21 +240,15 @@ def decode(job: DecodeJob, *, stage: str | None = None, rng=None) -> DecodeResul
                 pool, lane, ws, {name: partial(_open, name, *sp) for name, sp in prompts.items()}
             )
             t_gathered = time.perf_counter()
-            branch_prefill = dict(lat)
 
             history = list(job.prompt.tokens) if job.sampler.penalize_prompt else []
-            t_prev = None
             for t in range(1, job.max_new_tokens + 1):
                 fused, (alpha_r, alpha_p, d_r, d_p) = ws.fuse(t, lane)
                 token, nucleus = sample_into(fused, history, job.sampler, rng, ws.zeros)
                 tokens.append(token)
                 history.append(token)
                 now = time.perf_counter()
-                if t == 1:
-                    prefill_s = now - t_start
-                else:
-                    step_intervals.append(now - t_prev)
-                t_prev = now
+                ready.append(now)
                 # The engine's share is the round's time outside branch
                 # calls; with a pool, the whole gather counts as calls.
                 in_calls = t_gathered - t_round if pool is not None else sum(lat.values())
@@ -292,8 +283,6 @@ def decode(job: DecodeJob, *, stage: str | None = None, rng=None) -> DecodeResul
                     {name: partial(_timed_step, sessions[name], token) for name in prompts},
                 )
                 t_gathered = time.perf_counter()
-                for name, dt in lat.items():
-                    branch_generate[name] += dt
         except EngineError as exc:
             finish = "error"
             error_msg = f"{type(exc).__name__}: {exc}"
@@ -308,21 +297,14 @@ def decode(job: DecodeJob, *, stage: str | None = None, rng=None) -> DecodeResul
         ws.z.clear()
         _spare.ws = ws
 
-    total = time.perf_counter() - t_start
-    if finish == "error" and not tokens:
-        prefill_s = total
-    generate_s = max(total - prefill_s, 0.0)
-    mean_step_s = float(np.mean(step_intervals)) if step_intervals else 0.0
+    first = ready[0] if ready else time.perf_counter()
     return DecodeResult(
         tokens=tuple(tokens),
         text=" ".join(vocab.tokens[t] for t in tokens),
         finish_reason=finish,
         traces=traces,
-        prefill_s=prefill_s,
-        generate_s=generate_s,
-        mean_step_s=mean_step_s,
-        branch_prefill_s=branch_prefill,
-        branch_generate_s=branch_generate,
+        prefill_s=first - t_start,
+        step_s=tuple(np.diff(ready).tolist()),
         error=error_msg,
     )
 
@@ -362,18 +344,11 @@ def caption_then_answer(job: DecodeJob) -> DecodeResult:
         think_tag=(),
     )
     stage2 = decode(answer_job, stage="answer", rng=rng)
-
-    return DecodeResult(
-        tokens=stage2.tokens,
-        text=stage2.text,
-        finish_reason=stage2.finish_reason,
+    return replace(
+        stage2,
         traces=stage1.traces + stage2.traces,
         prefill_s=stage1.prefill_s + stage2.prefill_s,
-        generate_s=stage1.generate_s + stage2.generate_s,
-        mean_step_s=stage2.mean_step_s,
-        branch_prefill_s={"caption": stage1.prefill_s, "answer": stage2.prefill_s},
-        branch_generate_s={"caption": stage1.generate_s, "answer": stage2.generate_s},
-        error=stage2.error,
+        step_s=stage1.step_s + stage2.step_s,
     )
 
 
@@ -381,8 +356,9 @@ def caption_then_answer(job: DecodeJob) -> DecodeResult:
 class BenchRow:
     name: str
     strategy: str
-    prefill_s: float
-    mean_step_s: float
+    prefill_s: float  # median over repetitions
+    step_s: float  # p50 of every repetition's step intervals
+    step_p95_s: float
     prefill_ratio: float
     step_ratio: float
 
@@ -394,23 +370,29 @@ class BenchReport:
     rows: list[BenchRow]
 
     def format_table(self) -> str:
-        header = f"{'job':<16} {'strategy':<16} {'prefill':>12} {'per-step':>12} {'prefill x':>10} {'step x':>8}"
+        header = (
+            f"{'job':<16} {'strategy':<16} {'prefill':>12} {'step p50':>12} {'step p95':>12}"
+            f" {'prefill x':>10} {'step x':>8}"
+        )
         lines = [header, "-" * len(header)]
         for r in self.rows:
             lines.append(
-                f"{r.name:<16} {r.strategy:<16} {r.prefill_s * 1e3:>10.2f}ms {r.mean_step_s * 1e3:>10.2f}ms"
+                f"{r.name:<16} {r.strategy:<16} {r.prefill_s * 1e3:>10.2f}ms"
+                f" {r.step_s * 1e3:>10.2f}ms {r.step_p95_s * 1e3:>10.2f}ms"
                 f" {r.prefill_ratio:>9.2f}x {r.step_ratio:>7.2f}x"
             )
-        lines.append(f"(means over {self.repetitions} repetition(s); baseline: {self.baseline})")
+        lines.append(f"(medians over {self.repetitions} repetition(s); baseline: {self.baseline})")
         return "\n".join(lines)
 
 
 def bench(jobs: dict[str, DecodeJob], repetitions: int = 1) -> BenchReport:
-    """Time each job and report prefill / per-step means and ratios.
+    """Time each job: its median prefill and the p50 and p95 of its step intervals.
 
     jobs maps row names to fully configured DecodeJobs; exactly the rows
     given are run, and one of them must use the plain strategy "none" to
     serve as the ratio baseline (the first such row by insertion order).
+    A row's step percentiles pool the intervals of all its repetitions, and
+    the step ratio divides p50s, so one late host wake-up moves it little.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -422,7 +404,7 @@ def bench(jobs: dict[str, DecodeJob], repetitions: int = 1) -> BenchReport:
     if baseline_name is None:
         raise ValueError("bench needs a strategy 'none' job as the ratio baseline")
 
-    means: dict[str, tuple[float, float]] = {}
+    stats: dict[str, tuple[float, float, float]] = {}
     for name, job in jobs.items():
         prefills, steps = [], []
         for _ in range(repetitions):
@@ -430,19 +412,21 @@ def bench(jobs: dict[str, DecodeJob], repetitions: int = 1) -> BenchReport:
             if res.finish_reason == "error":
                 raise EngineError(f"bench job {name!r} failed: {res.error}")
             prefills.append(res.prefill_s)
-            steps.append(res.mean_step_s)
-        means[name] = (float(np.mean(prefills)), float(np.mean(steps)))
+            steps.extend(res.step_s)
+        p50, p95 = np.percentile(steps, [50, 95]).tolist() if steps else (0.0, 0.0)
+        stats[name] = (float(np.median(prefills)), p50, p95)
 
-    base_prefill, base_step = means[baseline_name]
+    base_prefill, base_step, _ = stats[baseline_name]
     rows = [
         BenchRow(
             name=name,
             strategy=jobs[name].guidance.strategy,
             prefill_s=p,
-            mean_step_s=s,
+            step_s=s,
+            step_p95_s=s95,
             prefill_ratio=p / base_prefill if base_prefill > 0 else float("nan"),
             step_ratio=s / base_step if base_step > 0 else float("nan"),
         )
-        for name, (p, s) in means.items()
+        for name, (p, s, s95) in stats.items()
     ]
     return BenchReport(baseline=baseline_name, repetitions=repetitions, rows=rows)

@@ -89,24 +89,6 @@ def softmax(logits: Iterable[float] | np.ndarray) -> np.ndarray:
     return softmax_into(z, np.empty_like(z))
 
 
-def _masked_kl(p: np.ndarray, q: np.ndarray) -> float:
-    # 0 * log(0/x) := 0; p_i > 0 with q_i == 0 yields +inf.
-    mask = p > 0.0
-    pm = p[mask]
-    with np.errstate(divide="ignore"):
-        terms = pm * np.log(pm / q[mask])
-    return float(terms.sum())
-
-
-def kl_divergence(p: Iterable[float] | np.ndarray, q: Iterable[float] | np.ndarray) -> float:
-    """KL(p || q) in nats. Returns +inf where q lacks mass that p has."""
-    p = as_prob_dist(p)
-    q = as_prob_dist(q)
-    if p.shape != q.shape:
-        raise DimensionError(f"length mismatch: {p.size} vs {q.size}")
-    return _masked_kl(p, q)
-
-
 def js_prepared(
     p: np.ndarray,
     log_p: np.ndarray,

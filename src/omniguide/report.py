@@ -20,7 +20,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -243,7 +243,7 @@ def alpha_histogram(traces: Sequence[StepTrace], bins: int = 10) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Answer extraction and accuracy tabulation.
+# Answer extraction.
 
 _ANSWER_MARKER = re.compile(
     r"\banswer\s*(?:is|:)\s*[\(\[]?([A-Za-z0-9]+)[\)\]]?", re.IGNORECASE
@@ -300,28 +300,3 @@ def extract_choice(text: str, options) -> str | None:
     if len(present) == 1:
         return str(present[0])
     return None
-
-
-def tabulate(
-    predicted: Sequence[str | None],
-    gold: Sequence[str],
-    split: Sequence[str] | None = None,
-) -> dict[str, float]:
-    """Per-split accuracy; a None prediction counts as wrong.
-
-    Without split labels every item lands in "overall". Empty input gives
-    an empty table.
-    """
-    if len(predicted) != len(gold):
-        raise ValueError("predicted and gold must be the same length")
-    if split is None:
-        split = ["overall"] * len(gold)
-    if len(split) != len(gold):
-        raise ValueError("split labels must align with items")
-    totals: dict[str, int] = {}
-    correct: dict[str, int] = {}
-    for s, p, g in zip(split, predicted, gold):
-        totals[s] = totals.get(s, 0) + 1
-        if p is not None and p == g:
-            correct[s] = correct.get(s, 0) + 1
-    return {s: correct.get(s, 0) / totals[s] for s in totals}

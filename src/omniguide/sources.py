@@ -24,7 +24,8 @@ zero logits.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -332,14 +333,7 @@ def parse_toy_spec(text: str, *, name: str = "toy") -> ToyModel:
     return ToyModel(vocab, base, omni, context_limit=context_limit, name=name)
 
 
-def build_toy_model(path_or_text, *, name: str | None = None) -> ToyModel:
-    """Build a toy model from a filesystem path or raw spec text."""
-    import os
-
-    if isinstance(path_or_text, os.PathLike):
-        path_or_text = os.fspath(path_or_text)
-    if isinstance(path_or_text, str) and "\n" not in path_or_text and os.path.exists(path_or_text):
-        with open(path_or_text, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        return parse_toy_spec(text, name=name or os.path.basename(path_or_text))
-    return parse_toy_spec(str(path_or_text), name=name or "toy")
+def build_toy_model(path, *, name: str | None = None) -> ToyModel:
+    """Build a toy model from a spec file (parse_toy_spec takes spec text)."""
+    path = Path(path)
+    return parse_toy_spec(path.read_text(encoding="utf-8"), name=name or path.name)

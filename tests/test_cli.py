@@ -488,6 +488,19 @@ class TestExitCodes:
         assert main(["frobnicate"]) == 2
         assert main(["decode", "--config", "x", "--strategy", "warp"]) == 2
 
+    @pytest.mark.parametrize("command", ["decode", "bench", "serve"])
+    def test_missing_toy_spec_is_2(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "absent" / "x.toy")
+        if command == "serve":
+            argv = ["serve", "--toy-spec", missing]
+        else:
+            cfg = base_config()
+            cfg["sources"]["base"] = {"toy_spec": missing}
+            cfg["bench"] = {"repetitions": 1, "rows": ["none"]}
+            argv = [command, "--config", write_config(tmp_path, cfg)]
+        assert main(argv) == 2
+        assert missing in capsys.readouterr().err
+
     def test_config_validation_is_3(self, tmp_path):
         bad = base_config()
         bad["guidance"] = {"strategy": "warp"}

@@ -339,7 +339,8 @@ class TestDecodeMechanics:
             assert tr.lat_neg_ms >= 0
             assert tr.lat_guide_ms >= 0
         assert res.prefill_s > 0
-        assert res.mean_step_s >= 0
+        assert len(res.step_s) == len(res.tokens) - 1
+        assert all(s >= 0 for s in res.step_s)
 
     def test_fixed_strategy_traces_use_zero_perception_weight(self, fusion_base, fusion_guide):
         job = stepwise_job(
@@ -599,6 +600,8 @@ class TestCaptionPipeline:
         stages = [tr.stage for tr in res.traces]
         assert stages[0] == "caption" and stages[-1] == "answer"
         assert "caption" in stages and "answer" in stages
+        # Each stage's first token ends its prefill, not a step interval.
+        assert len(res.step_s) == len(res.traces) - 2
 
     def test_lossy_caption_loses_the_answer(self):
         # The captioner can only say "object" for the blurred scene, so the
@@ -665,6 +668,65 @@ class TestBench:
         assert by_name["stepwise"].strategy == "stepwise"
         table = report.format_table()
         assert "none" in table and "stepwise" in table
+
+    @staticmethod
+    def fake_decodes(monkeypatch, timings):
+        """Make decode return the (prefill_s, step_s) pairs listed per strategy, in turn."""
+        queues = {strategy: iter(runs) for strategy, runs in timings.items()}
+
+        def fake(job):
+            prefill_s, step_s = next(queues[job.guidance.strategy])
+            return decoder_module.DecodeResult(
+                tokens=(0,) * (len(step_s) + 1),
+                text="",
+                finish_reason="length_limit",
+                traces=[],
+                prefill_s=prefill_s,
+                step_s=step_s,
+            )
+
+        monkeypatch.setattr(decoder_module, "decode", fake)
+
+    def test_rows_pool_every_repetitions_intervals(self, fusion_base, fusion_guide, monkeypatch):
+        timings = {
+            "none": [(0.010, (0.020, 0.021)), (0.012, (0.022, 0.019)), (0.050, (0.020, 0.023))],
+            "stepwise": [(0.030, (0.060, 0.061)), (0.031, (0.090, 0.062)), (0.029, (0.059, 0.063))],
+        }
+        self.fake_decodes(monkeypatch, timings)
+        report = bench(self.make_jobs(fusion_base, fusion_guide), repetitions=3)
+        rows = {r.name: r for r in report.rows}
+        for name, runs in timings.items():
+            steps = [s for _, step_s in runs for s in step_s]
+            assert rows[name].prefill_s == np.median([p for p, _ in runs])
+            assert rows[name].step_s == np.percentile(steps, 50)
+            assert rows[name].step_p95_s == np.percentile(steps, 95)
+        assert rows["none"].prefill_s == 0.012  # the median, not the mean
+        assert rows["stepwise"].step_ratio == rows["stepwise"].step_s / rows["none"].step_s
+        assert rows["stepwise"].prefill_ratio == 0.030 / 0.012
+        assert "medians" in report.format_table()
+
+    @pytest.mark.parametrize("late", range(4))
+    def test_one_late_interval_leaves_step_ratio_unchanged(
+        self, fusion_base, fusion_guide, monkeypatch, late
+    ):
+        # Two repetitions of two intervals each, as in acceptance criterion 6.
+        # A mean of means would move the ratio from 3.0 to about 2.5.
+        def ratio(none_steps):
+            self.fake_decodes(
+                monkeypatch,
+                {
+                    "none": [(0.01, none_steps[:2]), (0.01, none_steps[2:])],
+                    "stepwise": [(0.01, (0.060, 0.060)), (0.01, (0.060, 0.060))],
+                },
+            )
+            report = bench(self.make_jobs(fusion_base, fusion_guide), repetitions=2)
+            return {r.name: r for r in report.rows}["stepwise"].step_ratio
+
+        steps = [0.020] * 4
+        clean = ratio(tuple(steps))
+        steps[late] += 0.016
+        assert ratio(tuple(steps)) == clean
+        assert clean == pytest.approx(3.0)
 
     def test_failing_job_surfaces_as_engine_error(self, fusion_base, fusion_guide):
         jobs = self.make_jobs(fusion_base, fusion_guide)

@@ -11,7 +11,6 @@ from omniguide import (
     extract_choice,
     read_traces,
     render_attribution,
-    tabulate,
 )
 from omniguide.numerics import DIVERGENCE_LOG_BASE
 from omniguide.report import N_BUCKETS, bucket_of, emit_traces
@@ -259,30 +258,3 @@ class TestExtractChoice:
     def test_never_raises_on_weird_text(self):
         for text in ["", "\x00\x01", "((((", "answer is", "🤖 " * 50]:
             extract_choice(text, ["A", "B"])
-
-
-class TestTabulate:
-    def test_single_split_accuracy(self):
-        acc = tabulate(["A", "B", None, "A"], ["A", "B", "A", "B"])
-        assert acc == {"overall": 0.5}
-
-    def test_none_counts_as_wrong(self):
-        acc = tabulate([None, None], ["A", "B"])
-        assert acc == {"overall": 0.0}
-
-    def test_per_split_breakdown(self):
-        acc = tabulate(
-            ["A", "B", "A", "B"],
-            ["A", "A", "A", "B"],
-            split=["easy", "easy", "hard", "hard"],
-        )
-        assert acc == {"easy": 0.5, "hard": 1.0}
-
-    def test_empty_inputs_give_empty_table(self):
-        assert tabulate([], []) == {}
-
-    def test_length_mismatches_rejected(self):
-        with pytest.raises(ValueError):
-            tabulate(["A"], ["A", "B"])
-        with pytest.raises(ValueError):
-            tabulate(["A"], ["A"], split=["x", "y"])
