@@ -199,11 +199,12 @@ def _gather(pool: Executor | None, lane: Executor | None, ws: Workspace, calls: 
 def decode(job: DecodeJob, *, stage: str | None = None, rng=None) -> DecodeResult:
     """Run one guided generation job to a stop token, the length limit, or error.
 
-    Branch transport or lifecycle failures mid-run abort the job and return
-    a partial result with finish_reason "error"; precondition violations
-    (missing guide, vocabulary mismatch, empty prompt) raise before any
-    session opens. A caller-supplied rng overrides the sampler seed, which
-    lets multi-stage pipelines share one stream.
+    An EngineError from a branch mid-run (transport, lifecycle, a bad row)
+    aborts the job and returns a partial result with finish_reason "error";
+    any other exception propagates once every session is closed.
+    Precondition violations (missing guide, vocabulary mismatch, empty
+    prompt) raise before any session opens. A caller-supplied rng overrides
+    the sampler seed, which lets multi-stage pipelines share one stream.
     """
     _validate_job(job)
     vocab = job.base_source.vocabulary

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import numpy.random  # loaded here, not by a process's first decode
 
 from .numerics import as_logits, softmax_into
 
@@ -46,9 +47,10 @@ def penalize_into(z: np.ndarray, history: Sequence[int], penalty: float) -> np.n
     """apply_repetition_penalty in place on trusted logits z."""
     if penalty == 1.0 or not len(history):
         return z
-    ids = np.unique(np.asarray(history, dtype=np.int64))
-    if ids.size and (ids[0] < 0 or ids[-1] >= z.size):
-        bad = ids[0] if ids[0] < 0 else ids[-1]
+    # Repeated ids read and write the same value, so each is penalized once.
+    ids = np.asarray(history, dtype=np.int64)
+    bad = ids.min() if ids.min() < 0 else ids.max()
+    if not 0 <= bad < z.size:
         raise IndexError(f"history token id {bad} outside vocabulary of size {z.size}")
     vals = z[ids]
     z[ids] = np.where(vals > 0, vals / penalty, vals * penalty)

@@ -94,6 +94,7 @@ class RowModel:
 
     def __init__(self, seed: int, size: int, kinds=("peaked",)) -> None:
         self.seed = seed
+        self.name = f"rows-{seed}"
         self.kinds = tuple(kinds)
         self.vocabulary = Vocabulary.from_tokens([f"t{i}" for i in range(size)])
         self.context_limit = 1024

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -13,8 +14,9 @@ import yaml
 from omniguide import ConfigError, load_config, read_traces
 from omniguide.cli import main
 from omniguide.config import _OVERRIDE_PATHS, build_runtime
+from omniguide.guidance import STRATEGIES
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, REPO_ROOT
 
 BASE_SPEC_PATH = str(CONFIG_DIR / "fusion_base.toy")
 GUIDE_SPEC_PATH = str(CONFIG_DIR / "fusion_guide.toy")
@@ -290,6 +292,12 @@ class TestDecodeCommand:
         assert header.effective_config["sampler"]["seed"] == 123
 
 
+def table_rows(text: str) -> list:
+    """The strategy rows of a compare table, split into words, timings left out."""
+    rows = [re.sub(r"\d+\.\d+ms", "", ln).split() for ln in text.splitlines()]
+    return [r for r in rows if r[:1] and r[0] in STRATEGIES]
+
+
 class TestCompareCommand:
     def compare_config(self, tmp_path, **extra):
         cfg = base_config()
@@ -340,6 +348,16 @@ class TestCompareCommand:
         for strategy in ("none", "vcd_ablation", "stepwise"):
             _, steps = read_traces(tmp_path / f"cmp.{strategy}.jsonl")
             assert steps
+
+    def test_demo_config_prints_the_readme_table(self, tmp_path, monkeypatch, capsys):
+        # The shipped config from a scratch directory, where its trace files land.
+        monkeypatch.chdir(tmp_path)
+        rc = main(["compare", "--config", str(CONFIG_DIR / "demo.yaml")])
+        assert rc == 0
+        readme = (REPO_ROOT / "README.md").read_text()
+        example = readme.split("$ omniguide compare --config configs/demo.yaml\n")[1]
+        assert table_rows(capsys.readouterr().out) == table_rows(example.split("\n\n")[0])
+        assert (tmp_path / "trace.stepwise.jsonl").exists()
 
     def test_empty_strategy_list_rejected(self, tmp_path):
         cfg = base_config()

@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -26,10 +31,12 @@ from omniguide import decoder as decoder_module
 from omniguide.sampler import make_rng
 
 from conftest import (
+    CONFIG_DIR,
     EOS,
     FLOATS,
     METAL,
     PLASTIC,
+    REPO_ROOT,
     RowModel,
     SINKS,
     THINK,
@@ -56,6 +63,10 @@ class RecordingSource:
         self.opened = []
         self.sessions = []
         self.threads = []
+
+    @property
+    def name(self):
+        return self.inner.name
 
     @property
     def vocabulary(self):
@@ -499,6 +510,27 @@ def weights(tr):
     return (tr.alpha_r, tr.alpha_p, tr.d_r, tr.d_p, tr.nucleus)
 
 
+@contextmanager
+def served(*models):
+    """Serve each model over HTTP; yields the servers and a RemoteSource for each."""
+    servers = [serve(m) for m in models]
+    try:
+        yield servers, [RemoteSource(s.endpoint) for s in servers]
+    finally:
+        for s in servers:
+            s.stop()
+
+
+def on_fresh_thread(fn):
+    """fn() run on a new thread, which has no kept workspace."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn()))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    return out[0]
+
+
 def lane_job(base, guide, seed, **kwargs):
     defaults = dict(
         base_source=base,
@@ -550,6 +582,76 @@ class TestLanes:
         opened = sources["base"].sessions + sources["guide"].sessions
         assert len(opened) == 3 and all(s.closed for s in opened)
         assert threading.active_count() == before
+
+    def test_served_lanes_are_bit_identical_to_serial(self, monkeypatch):
+        models = [RowModel(seed, LANE_V, ("peaked", "flat", "underflow")) for seed in (11, 23)]
+        with served(*models) as (servers, remote):
+            http = decode(lane_job(*remote, 0))
+            assert all(s.live_sessions == 0 for s in servers)
+        monkeypatch.setattr(decoder_module, "LANE_MIN_VOCAB", LANE_V + 1)
+        serial = decode(lane_job(*models, 0))
+        assert http.finish_reason == serial.finish_reason == "length_limit"
+        assert http.tokens == serial.tokens
+        assert [weights(t) for t in http.traces] == [weights(t) for t in serial.traces]
+
+    def test_served_bad_row_mid_decode_is_an_error_result(self):
+        before = threading.active_count()
+        base = CorruptingSource(RowModel(11, LANE_V), 2, nan_at_7)
+        with served(base, RowModel(23, LANE_V)) as (servers, remote):
+            res = decode(lane_job(*remote, 0))
+            assert all(s.live_sessions == 0 for s in servers)
+        assert res.finish_reason == "error"
+        assert res.error.startswith("NonFiniteError:")
+        assert len(res.tokens) == 2
+        assert len(base.sessions) == 2 and all(s.closed for s in base.sessions)
+        # Stopping the servers joined their handler threads; the decode's own
+        # pool must be gone too.
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("branch", ["base", "guide"])
+    def test_other_exceptions_leave_decode_after_cleanup(self, branch):
+        # A bug in a source is not a branch failure: decode closes every
+        # session and stops its lane, then lets the exception through.
+        models = {"base": RowModel(11, LANE_V), "guide": RowModel(23, LANE_V)}
+        sources = {name: RecordingSource(m) for name, m in models.items()}
+        sources[branch] = FailingSource(models[branch], 2, RuntimeError("bug in a source"))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="bug in a source"):
+            decode(lane_job(sources["base"], sources["guide"], 0))
+        opened = sources["base"].sessions + sources["guide"].sessions
+        assert len(opened) == 3 and all(s.closed for s in opened)
+        assert threading.active_count() == before
+        # The workspace this thread kept carries nothing into its next decode.
+        job = lane_job(models["base"], models["guide"], 1)
+        again, fresh = decode(job), on_fresh_thread(lambda: decode(job))
+        assert again.tokens == fresh.tokens
+        assert [weights(t) for t in again.traces] == [weights(t) for t in fresh.traces]
+
+
+def test_first_decode_loads_no_numpy_module():
+    # A module loaded inside a process's first decode is charged to that
+    # decode's timings: compare's first row read 10 ms of prefill, against
+    # 0.2 ms for the rest.
+    code = textwrap.dedent(
+        """
+        import sys
+        from omniguide import build_runtime, decode, load_config
+        job = build_runtime(load_config(sys.argv[1], env={}))
+        before = set(sys.modules)
+        decode(job)
+        print(sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "numpy"))
+        """
+    )
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(CONFIG_DIR / "demo.yaml")],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 CAPTION_BASE = """
