@@ -185,12 +185,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
             )
         )
 
-    header = f"{'strategy':<18} {'tokens':>6} {'prefill':>10} {'step p50':>10} {'correct':>8}  {'same':<12} output"
+    same_w = max(len("same"), *(len(row[5]) for row in rows))
+    header = f"{'strategy':<18} {'tokens':>6} {'prefill':>10} {'step p50':>10} {'correct':>8}  {'same':<{same_w}} output"
     print(header)
     print("-" * len(header))
     for strategy, n, pre, step, verdict, same, text in rows:
         print(
-            f"{strategy:<18} {n:>6} {pre:>8.2f}ms {step:>8.2f}ms {verdict:>8}  {same:<12} {text}"
+            f"{strategy:<18} {n:>6} {pre:>8.2f}ms {step:>8.2f}ms {verdict:>8}  {same:<{same_w}} {text}"
         )
     return 0
 

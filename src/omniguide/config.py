@@ -310,8 +310,6 @@ _OVERRIDE_PATHS = {
     "top_p": ("sampler", "top_p"),
     "repetition_penalty": ("sampler", "repetition_penalty"),
     "max_new_tokens": ("decode", "max_new_tokens"),
-    "warmup_steps": ("guidance", "warmup_steps"),
-    "warmup_slope": ("guidance", "warmup_slope"),
     "trace_out": ("output", "trace"),
 }
 

@@ -242,7 +242,7 @@ def decode(job: DecodeJob, *, stage: str | None = None, rng=None) -> DecodeResul
             )
             t_gathered = time.perf_counter()
 
-            history = list(job.prompt.tokens) if job.sampler.penalize_prompt else []
+            history = list(job.prompt.tokens)
             for t in range(1, job.max_new_tokens + 1):
                 fused, (alpha_r, alpha_p, d_r, d_p) = ws.fuse(t, lane)
                 token, nucleus = sample_into(fused, history, job.sampler, rng, ws.zeros)

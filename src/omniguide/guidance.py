@@ -11,8 +11,9 @@ and is one row of ``STRATEGIES``: the branches it opens plus a function
 that gives its coefficients for a step. The fixed-weight rows use constant
 coefficients. The stepwise row instead adapts the weight each step from how
 far the base and guide branches deviate from the text-only backbone
-distribution, measured by Jensen-Shannon divergence, with a short linear
-warmup so early steps stay close to the backbone.
+distribution, measured by Jensen-Shannon divergence, clipped to [0, 1]
+and with a short linear warmup so early steps stay close to the backbone.
+The clip and the warmup are constants of the rule, not settings.
 
 All functions operate on raw branch logits; sampling adjustments
 (temperature, penalties) happen downstream on the fused vector only.
@@ -40,20 +41,14 @@ from .numerics import as_logits, js_divergence, js_prepared, log_floor_into, sof
 
 @dataclass(frozen=True)
 class GuidanceConfig:
-    """Which fusion strategy runs and its knobs.
+    """Which fusion strategy runs, and alpha, the fixed-weight strategies' weight.
 
-    alpha applies to the fixed-weight strategies only. The warmup fields
-    drive the stepwise strategy: for the first warmup_steps steps the
-    reasoning weight is capped at warmup_slope * t (t is 1-based), after
-    which only the clip range applies.
+    The stepwise strategy has no settings: its warmup (WARMUP_STEPS,
+    WARMUP_SLOPE) and its [0, 1] clip are constants of the rule.
     """
 
     strategy: str = "stepwise"
     alpha: float = 1.0
-    warmup_steps: int = 5
-    warmup_slope: float = 0.1
-    clip_lo: float = 0.0
-    clip_hi: float = 1.0
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -62,12 +57,6 @@ class GuidanceConfig:
             )
         if not np.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
-        if self.warmup_steps < 0:
-            raise ValueError("warmup_steps must be >= 0")
-        if self.warmup_slope < 0:
-            raise ValueError("warmup_slope must be >= 0")
-        if not (self.clip_lo <= self.clip_hi):
-            raise ValueError("clip_lo must not exceed clip_hi")
 
 
 @dataclass(frozen=True)
@@ -80,30 +69,28 @@ class StepWeights:
     d_p: float
 
 
-def reasoning_weights(
-    d_r: float, d_p: float, t: int, cfg: GuidanceConfig | None = None
-) -> StepWeights:
+# The stepwise warmup: for t <= WARMUP_STEPS, alpha_r is capped at WARMUP_SLOPE * t.
+WARMUP_STEPS = 5
+WARMUP_SLOPE = 0.1
+
+
+def reasoning_weights(d_r: float, d_p: float, t: int) -> StepWeights:
     """Turn divergence measurements into mixing weights for step t (1-based).
 
-    alpha_r = clip(d_r - d_p, clip_lo, clip_hi), capped at warmup_slope * t
-    for the first warmup_steps steps; alpha_p = 1 - alpha_r.
+    alpha_r = clip(d_r - d_p, 0, 1), capped at WARMUP_SLOPE * t for the
+    first WARMUP_STEPS steps; alpha_p = 1 - alpha_r.
     """
-    cfg = cfg or GuidanceConfig()
     if t < 1:
         raise ValueError("step index t is 1-based and must be >= 1")
     surplus = float(d_r) - float(d_p)
-    alpha_r = float(min(max(surplus, cfg.clip_lo), cfg.clip_hi))
-    if t <= cfg.warmup_steps:
-        alpha_r = min(alpha_r, cfg.warmup_slope * t)
+    alpha_r = min(max(surplus, 0.0), 1.0)
+    if t <= WARMUP_STEPS:
+        alpha_r = min(alpha_r, WARMUP_SLOPE * t)
     return StepWeights(alpha_r=alpha_r, alpha_p=1.0 - alpha_r, d_r=float(d_r), d_p=float(d_p))
 
 
 def stepwise_alpha(
-    p_guide: np.ndarray,
-    p_base: np.ndarray,
-    p_neg: np.ndarray,
-    t: int,
-    cfg: GuidanceConfig | None = None,
+    p_guide: np.ndarray, p_base: np.ndarray, p_neg: np.ndarray, t: int
 ) -> StepWeights:
     """Compute adaptive weights from branch distributions at step t.
 
@@ -113,7 +100,7 @@ def stepwise_alpha(
     """
     d_r = js_divergence(p_guide, p_neg)
     d_p = js_divergence(p_base, p_neg)
-    return reasoning_weights(d_r, d_p, t, cfg)
+    return reasoning_weights(d_r, d_p, t)
 
 
 def mix_into(
@@ -186,7 +173,7 @@ _UNGUIDED = (0.0, 0.0, 0.0, 0.0)
 
 
 def _stepwise(d: Sequence[float], t: int, cfg: GuidanceConfig):
-    w = reasoning_weights(*d, t, cfg)
+    w = reasoning_weights(*d, t)
     return _stepwise_coeffs(w.alpha_r), (w.alpha_r, w.alpha_p, w.d_r, w.d_p)
 
 

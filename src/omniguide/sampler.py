@@ -30,7 +30,6 @@ class SamplerConfig:
     repetition_penalty: float = 1.03
     mode: str = "sample"  # "sample" or "greedy"
     seed: int = 0
-    penalize_prompt: bool = True
 
     def __post_init__(self) -> None:
         if self.temperature <= 0:

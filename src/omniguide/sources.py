@@ -192,8 +192,8 @@ class ToyModel:
         vocabulary: Vocabulary,
         base_rules: _RuleTable,
         omni_rules: dict[str, _RuleTable],
-        context_limit: int = 256,
-        name: str = "toy",
+        context_limit: int,
+        name: str,
     ) -> None:
         self._vocab = vocabulary
         self._base = base_rules

@@ -7,11 +7,12 @@ import subprocess
 import sys
 import time
 import urllib.request
+from dataclasses import fields
 
 import pytest
 import yaml
 
-from omniguide import ConfigError, load_config, read_traces
+from omniguide import ConfigError, GuidanceConfig, SamplerConfig, load_config, read_traces
 from omniguide.cli import main
 from omniguide.config import _OVERRIDE_PATHS, build_runtime
 from omniguide.guidance import STRATEGIES
@@ -58,22 +59,37 @@ class TestConfigLoading:
             "repetition_penalty": 1.03,
             "mode": "sample",
             "seed": 0,
-            "penalize_prompt": True,
         }
         assert cfg.effective["decode"]["max_new_tokens"] == 4096
         assert cfg.effective["guidance"]["strategy"] == "none"
-        assert cfg.effective["guidance"]["warmup_steps"] == 5
-        assert cfg.effective["guidance"]["warmup_slope"] == 0.1
 
     def test_strategy_defaults_to_adaptive_when_guide_present(self, tmp_path):
         cfg = load_config(write_config(tmp_path, base_config()), env={})
         assert cfg.effective["guidance"]["strategy"] == "stepwise"
 
     def test_unknown_keys_rejected_with_names(self, tmp_path):
-        bad = base_config()
-        bad["sampler"]["temprature"] = 0.7
-        with pytest.raises(ConfigError, match="temprature"):
-            load_config(write_config(tmp_path, bad), env={})
+        # A typo, and keys of settings that the engine fixes as constants:
+        # load_config rejects each by name, and it builds no source.
+        for section, key, value in [
+            ("sampler", "temprature", 0.7),
+            ("guidance", "clip_lo", -0.5),
+            ("guidance", "warmup_slope", 0.1),
+            ("sampler", "penalize_prompt", True),
+        ]:
+            bad = base_config()
+            bad.setdefault(section, {})[key] = value
+            with pytest.raises(ConfigError, match=f"unknown key.*{key}"):
+                load_config(write_config(tmp_path, bad), env={})
+
+    def test_readme_config_block_loads_and_names_every_field(self, tmp_path):
+        readme = (REPO_ROOT / "README.md").read_text()
+        (block,) = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+        path = tmp_path / "readme.yaml"
+        path.write_text(block)
+        load_config(str(path), env={})
+        raw = yaml.safe_load(block)
+        for section, cls in (("guidance", GuidanceConfig), ("sampler", SamplerConfig)):
+            assert set(raw[section]) == {f.name for f in fields(cls)}, section
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
         bad = base_config()
@@ -261,8 +277,6 @@ class TestDecodeCommand:
             "top_p": 0.8,
             "repetition_penalty": 1.2,
             "max_new_tokens": 5,
-            "warmup_steps": 2,
-            "warmup_slope": 0.3,
             "trace_out": trace,
         }
         argv = ["decode", "--config", write_config(tmp_path, base_config())]
@@ -356,7 +370,13 @@ class TestCompareCommand:
         assert rc == 0
         readme = (REPO_ROOT / "README.md").read_text()
         example = readme.split("$ omniguide compare --config configs/demo.yaml\n")[1]
-        assert table_rows(capsys.readouterr().out) == table_rows(example.split("\n\n")[0])
+        out = capsys.readouterr().out
+        assert table_rows(out) == table_rows(example.split("\n\n")[0])
+        # Each row's output text starts under the header's "output".
+        lines = out.splitlines()
+        at = lines[0].index("output")
+        for line in lines[2:]:
+            assert line[at - 1] == " " and line[at] != " ", line
         assert (tmp_path / "trace.stepwise.jsonl").exists()
 
     def test_empty_strategy_list_rejected(self, tmp_path):
