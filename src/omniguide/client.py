@@ -54,6 +54,11 @@ _ERROR_CODE_MAP = {
 _CONNECTIONS = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
 _TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
 
+# The handshake is tried HANDSHAKE_RETRIES + 1 times, the k-th retry after
+# k * RETRY_BACKOFF_S seconds.
+HANDSHAKE_RETRIES = 2
+RETRY_BACKOFF_S = 0.1
+
 
 def _raise_for_body(body: dict, status: int) -> None:
     err = body.get("error")
@@ -85,8 +90,12 @@ def _exchange(
     # An idle kept-alive socket turns readable only once the server has
     # closed it (or sent something unasked); either way it cannot carry a
     # request. Nothing has been sent on it yet, so reconnecting repeats none.
-    if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
-        conn.close()
+    # poll, unlike select, takes descriptors of any number.
+    if conn.sock is not None:
+        idle = select.poll()
+        idle.register(conn.sock, select.POLLIN)
+        if idle.poll(0):
+            conn.close()
     try:
         conn.request(method, path, body, {"Content-Type": "application/json"} if body else {})
         resp = conn.getresponse()
@@ -103,13 +112,7 @@ class RemoteSource:
     that cannot enumerate tokens are out of scope for the protocol.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        timeout: float = 30.0,
-        handshake_retries: int = 2,
-        retry_backoff_s: float = 0.1,
-    ) -> None:
+    def __init__(self, endpoint: str, timeout: float = 30.0) -> None:
         self.endpoint = endpoint.rstrip("/")
         self._timeout = timeout
         try:
@@ -121,7 +124,7 @@ class RemoteSource:
         if not self._host:
             raise ProtocolError(f"endpoint {endpoint!r} names no host")
         self._path = url.path
-        info = self._handshake(handshake_retries, retry_backoff_s)
+        info = self._handshake()
         version = info.get("protocol_version")
         if version != PROTOCOL_VERSION:
             raise ProtocolError(
@@ -144,9 +147,9 @@ class RemoteSource:
     def _connect(self) -> http.client.HTTPConnection:
         return self._connection_type(self._host, self._port, timeout=self._timeout)
 
-    def _handshake(self, retries: int, backoff_s: float) -> dict:
+    def _handshake(self) -> dict:
         path = f"{self._path}/v1/info"
-        attempts = retries + 1
+        attempts = HANDSHAKE_RETRIES + 1
         last: Exception | None = None
         for attempt in range(attempts):
             conn = self._connect()
@@ -156,7 +159,7 @@ class RemoteSource:
             except _TRANSPORT_ERRORS as exc:
                 last = exc
                 if attempt + 1 < attempts:
-                    time.sleep(backoff_s * (attempt + 1))
+                    time.sleep(RETRY_BACKOFF_S * (attempt + 1))
             finally:
                 conn.close()
         raise TransportError(self.endpoint, attempts, last)

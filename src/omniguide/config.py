@@ -156,7 +156,7 @@ def _normalize_prompt(section, config_dir: Path) -> dict:
         key = _get(omni, "key", None, str, "prompt.omni")
         if (path is None) == (key is None):
             raise ConfigError("prompt.omni must set exactly one of path or key")
-        media_type = _get(omni, "media_type", "application/octet-stream", str, "prompt.omni")
+        media_type = _get(omni, "media_type", OmniPayload.media_type, str, "prompt.omni")
         if path is not None:
             if "pad_bytes" in omni:
                 raise ConfigError("prompt.omni.pad_bytes applies only with key")

@@ -17,18 +17,15 @@ both JS terms) into preallocated buffers; the mix, penalty, temperature and
 sampling softmax then overwrite one fused buffer, and the draw looks at the
 nucleus only.
 
-Branches run concurrently (on a thread pool, joined before fusion) only when
-one of them is a remote source; in-process branches are called in turn on
-the calling thread, where a pool would only add dispatch and lock
-contention. From LANE_MIN_VOCAB tokens up, a divergence-weighted decode also
-shares the preparations and the JS terms between two lanes, since numpy
-releases the GIL in its kernels: the calling thread and one helper thread
-(in process) or pool thread (over HTTP) each take the next task left
-(``guidance.share``). In process, the preparations start once the branch
-calls are done; over HTTP, each pool thread prepares its own branch as the
-reply lands, and only the JS terms are shared.
+Everything a decode runs on more than one thread goes through
+``guidance.share`` on the decode's one executor of helper threads: each
+round's branch calls, each row admitted as it lands, and from
+LANE_MIN_VOCAB tokens up the JS terms. A remote decode has len(branches) - 1
+helpers, so a round's calls overlap. In process, only a divergence-weighted
+decode from LANE_MIN_VOCAB up has one, since numpy releases the GIL in the
+kernels it shares; below that a decode stays on the calling thread.
 
-Per-branch wall-clock latencies, the engine's share of each step and the
+Per-branch wall-clock latencies, the engine time after each gather and the
 nucleus size land in the step traces. The result's timings all derive from
 one clock: the time at which each token was sampled.
 """
@@ -37,7 +34,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Executor, ThreadPoolExecutor, wait
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -160,39 +157,24 @@ def _take_workspace(cfg: GuidanceConfig, size: int) -> Workspace:
     return ws
 
 
-def _timed_step(session: Session, token: int) -> tuple[np.ndarray, float]:
-    t0 = time.perf_counter()
-    z = session.step(token)
-    return z, time.perf_counter() - t0
-
-
-def _gather(pool: Executor | None, lane: Executor | None, ws: Workspace, calls: dict):
+def _gather(helpers: Executor | None, ws: Workspace, calls: dict) -> dict:
     """Run one round of branch calls, admit each row into ws, and return each call's seconds.
 
-    With a pool the calls run concurrently and each pool thread admits its
-    own row as it lands, so a branch's preparation overlaps the others'
-    transport; every call finishes before the first failure (in branch
-    order) is raised, so no branch is still using its session when the
-    caller goes on to close it. Without one the calls run in turn, in
-    branch order, on the calling thread, and the first failure raises at
-    once; then the rows are admitted, shared with the lane when there is
-    one. The lane starts only after the calls: run next to a source's many
-    small numpy calls, it would hand the GIL back and forth at each of them.
+    The calls are shared with the helpers, each row admitted on its thread
+    as it lands, and every call finishes before the first failure (in
+    branch order) is raised, so no branch still uses its session when the
+    caller closes it. Without helpers the calls run in turn, in branch
+    order, and the first failure raises at once.
     """
-    if pool is not None:
+    seconds = {}
 
-        def call_and_admit(name, call):
-            z, dt = call()
-            ws.admit(name, z)
-            return dt
+    def call_and_admit(name, call):
+        t0 = time.perf_counter()
+        z = call()
+        seconds[name] = time.perf_counter() - t0
+        ws.admit(name, z)
 
-        futures = {name: pool.submit(call_and_admit, name, call) for name, call in calls.items()}
-        wait(futures.values())
-        return {name: fut.result() for name, fut in futures.items()}
-    seconds, rows = {}, {}
-    for name, call in calls.items():
-        rows[name], seconds[name] = call()
-    share(lane, [partial(ws.admit, name, z) for name, z in rows.items()])
+    share(helpers, [partial(call_and_admit, name, call) for name, call in calls.items()])
     return seconds
 
 
@@ -222,37 +204,29 @@ def decode(job: DecodeJob, *, stage: str | None = None, rng=None) -> DecodeResul
 
     t_start = time.perf_counter()
     remote = any(isinstance(src, RemoteSource) for src, _ in prompts.values())
-    pool = ThreadPoolExecutor(len(prompts)) if remote and len(prompts) > 1 else None
-    lane = None
-    if ws.row.divergences and vocab.size >= LANE_MIN_VOCAB:
-        lane = pool or ThreadPoolExecutor(1, thread_name_prefix="omniguide-lane")
+    laned = bool(ws.row.divergences) and vocab.size >= LANE_MIN_VOCAB
+    # A remote round's calls all run at once; in process only laned work is worth sharing.
+    width = len(prompts) - 1 if remote else int(laned)
+    helpers = ThreadPoolExecutor(width, thread_name_prefix="omniguide-lane") if width else None
     try:
         try:
             def _open(name: str, src: LogitSource, prompt: PromptInput):
-                t0 = time.perf_counter()
                 # Registered at once, so the finally below closes it even
                 # when a sibling branch fails to open.
                 sess = sessions[name] = src.open(prompt)
-                z = sess.logits()
-                return z, time.perf_counter() - t0
+                return sess.logits()
 
-            t_round = t_start
-            lat = _gather(
-                pool, lane, ws, {name: partial(_open, name, *sp) for name, sp in prompts.items()}
-            )
-            t_gathered = time.perf_counter()
-
+            calls = {name: partial(_open, name, *sp) for name, sp in prompts.items()}
             history = list(job.prompt.tokens)
             for t in range(1, job.max_new_tokens + 1):
-                fused, (alpha_r, alpha_p, d_r, d_p) = ws.fuse(t, lane)
+                lat = _gather(helpers, ws, calls)
+                t_gathered = time.perf_counter()
+                fused, (alpha_r, alpha_p, d_r, d_p) = ws.fuse(t, helpers if laned else None)
                 token, nucleus = sample_into(fused, history, job.sampler, rng, ws.zeros)
                 tokens.append(token)
                 history.append(token)
                 now = time.perf_counter()
                 ready.append(now)
-                # The engine's share is the round's time outside branch
-                # calls; with a pool, the whole gather counts as calls.
-                in_calls = t_gathered - t_round if pool is not None else sum(lat.values())
                 traces.append(
                     StepTrace(
                         t=t,
@@ -265,7 +239,7 @@ def decode(job: DecodeJob, *, stage: str | None = None, rng=None) -> DecodeResul
                         lat_base_ms=lat.get("base", 0.0) * 1e3,
                         lat_neg_ms=lat.get("neg", 0.0) * 1e3,
                         lat_guide_ms=lat.get("guide", 0.0) * 1e3,
-                        engine_ms=(now - t_round - in_calls) * 1e3,
+                        engine_ms=(now - t_gathered) * 1e3,
                         nucleus=nucleus,
                         stage=stage,
                     )
@@ -273,17 +247,7 @@ def decode(job: DecodeJob, *, stage: str | None = None, rng=None) -> DecodeResul
                 if token in job.stop_tokens:
                     finish = "stop_token"
                     break
-                if t == job.max_new_tokens:
-                    finish = "length_limit"
-                    break
-                t_round = time.perf_counter()
-                lat = _gather(
-                    pool,
-                    lane,
-                    ws,
-                    {name: partial(_timed_step, sessions[name], token) for name in prompts},
-                )
-                t_gathered = time.perf_counter()
+                calls = {name: partial(sessions[name].step, token) for name in prompts}
         except EngineError as exc:
             finish = "error"
             error_msg = f"{type(exc).__name__}: {exc}"
@@ -293,8 +257,8 @@ def decode(job: DecodeJob, *, stage: str | None = None, rng=None) -> DecodeResul
                 sess.close()
             except Exception:
                 pass
-        for executor in {pool, lane} - {None}:
-            executor.shutdown(wait=True)
+        if helpers is not None:
+            helpers.shutdown(wait=True)
         ws.z.clear()
         _spare.ws = ws
 

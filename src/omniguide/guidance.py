@@ -203,18 +203,19 @@ STRATEGIES: dict[str, Strategy] = {
 }
 
 
-def share(lane: Executor | None, tasks: Sequence[Callable[[], object]]) -> list:
-    """Run tasks on the calling thread and on lane, each taking the next one left.
+def share(helpers: Executor | None, tasks: Sequence[Callable[[], object]]) -> list:
+    """Run tasks on the calling thread and on helpers, each taking the next one left.
 
-    Returns the results in task order. Without a lane, or with one task,
+    Returns the results in task order. Without helpers, or with one task,
     the calling thread runs them in order and the first failure raises at
-    once. With one, the calling thread never waits for a lane that has not
-    started yet: if the lane's thread is slow to wake or is descheduled,
-    the calling thread does the work itself, so sharing costs at most one
-    task's wait over running alone; once every started task has finished,
-    the first failure in task order is raised.
+    once. With them, one helper job is submitted per task after the first,
+    so the executor's size bounds how many tasks run at once. The calling
+    thread never waits for a helper that has not started: if one is slow to
+    wake or is descheduled, the calling thread does the work itself, so
+    sharing costs at most one task's wait over running alone; once every
+    started task has finished, the first failure in task order is raised.
     """
-    if lane is None or len(tasks) < 2:
+    if helpers is None or len(tasks) < 2:
         return [task() for task in tasks]
     results: list = [None] * len(tasks)
     errors: list = [None] * len(tasks)
@@ -232,10 +233,12 @@ def share(lane: Executor | None, tasks: Sequence[Callable[[], object]]) -> list:
             except Exception as exc:  # raised below, in task order
                 errors[i] = exc
 
-    helper = lane.submit(work)
+    jobs = [helpers.submit(work) for _ in tasks[1:]]
     work()
-    if not helper.cancel():
-        helper.result()
+    # Cancel every job not started before waiting on any, so a helper that
+    # finishes early does not start one with nothing left to take.
+    for job in [job for job in jobs if not job.cancel()]:
+        job.result()
     for exc in errors:
         if exc is not None:
             raise exc

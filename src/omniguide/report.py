@@ -41,9 +41,9 @@ class StepTrace:
     lat_base_ms: float = 0.0
     lat_neg_ms: float = 0.0
     lat_guide_ms: float = 0.0
-    # The calling thread's wall time for this token outside branch calls:
-    # validation and preparation done on it, waits for the helper lane,
-    # weights, mix and sampling.
+    # The calling thread's wall time from the end of the round's gather to
+    # the sampled token: JS terms, weights, mix and sampling. Validating
+    # and preparing the rows in the gather is counted in no field.
     engine_ms: float = 0.0
     nucleus: int = 0  # tokens kept by top-p for the draw
     stage: str | None = None

@@ -40,7 +40,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
-from .errors import CapacityError, TokenRangeError
+from .errors import CapacityError, SessionStateError, TokenRangeError
 from .sources import OmniPayload, PromptInput, ToyModel
 
 PROTOCOL_VERSION = "2"
@@ -233,7 +233,7 @@ class ModelServer:
                 raise _ApiError(400, "malformed", f"omni_payload.data_b64 is not base64: {exc}")
             payload = OmniPayload(
                 data=data,
-                media_type=str(raw_payload.get("media_type", "application/octet-stream")),
+                media_type=str(raw_payload.get("media_type", OmniPayload.media_type)),
             )
 
         with self._compute_lock:
@@ -282,6 +282,8 @@ class ModelServer:
                     raise _ApiError(400, "bad_token", str(exc))
                 except CapacityError as exc:
                     raise _ApiError(413, "capacity", str(exc))
+                except SessionStateError as exc:  # closed while waiting for the lock
+                    raise _ApiError(404, "session_not_found", str(exc))
                 time.sleep(self.latency.step_delay())
             headers = [("X-Context-Length", str(slot.session.context_length))]
             return headers, _logit_bytes(logits)

@@ -1,5 +1,6 @@
 import math
 import os
+import resource
 import subprocess
 import sys
 import textwrap
@@ -391,20 +392,20 @@ class TestAbortSafety:
         assert len(res.tokens) == 1
 
 
-def record_remote_threads(source: RemoteSource, threads: list) -> None:
-    """Log the thread of every open and step call of a RemoteSource.
+def before_remote_calls(source: RemoteSource, hook) -> None:
+    """Call hook() before every open and step call of a RemoteSource.
 
     Patches the instance, so the decoder still sees a RemoteSource.
     """
     real_open = source.open
 
     def open_(prompt):
-        threads.append(threading.current_thread())
+        hook()
         sess = real_open(prompt)
         real_step = sess.step
 
         def step(token_id):
-            threads.append(threading.current_thread())
+            hook()
             return real_step(token_id)
 
         sess.step = step
@@ -424,21 +425,53 @@ class TestBranchDispatch:
         assert set(base.threads + guide.threads) == {threading.current_thread()}
         assert set(threading.enumerate()) == before
 
-    def test_remote_branches_run_on_pool_threads(self, fusion_base, fusion_guide):
-        servers = [serve(fusion_base), serve(fusion_guide)]
-        try:
-            base, guide = (RemoteSource(s.endpoint) for s in servers)
+    def test_remote_branches_run_on_the_calling_thread_and_helpers(
+        self, fusion_base, fusion_guide
+    ):
+        with served(fusion_base, fusion_guide) as (servers, (base, guide)):
             threads: list = []
-            record_remote_threads(base, threads)
-            record_remote_threads(guide, threads)
+            for source in (base, guide):
+                before_remote_calls(source, lambda: threads.append(threading.current_thread()))
             res = decode(stepwise_job(base, guide))
             assert res.finish_reason == "stop_token" and len(res.tokens) > 1
             assert len(threads) == 3 + 3 * (len(res.tokens) - 1)
-            assert threading.current_thread() not in threads
+            helpers = set(threads) - {threading.current_thread()}
+            assert len(helpers) <= 2
+            assert not any(t.is_alive() for t in helpers)
             assert all(s.live_sessions == 0 for s in servers)
+
+    def test_one_remote_round_has_every_call_in_flight(self, fusion_base, fusion_guide):
+        # Each open and step waits until all three calls of its round have
+        # begun, so a gather that made them in turn would break the barrier.
+        barrier = threading.Barrier(3, timeout=5)
+        with served(fusion_base, fusion_guide) as (servers, remote):
+            for source in remote:
+                before_remote_calls(source, barrier.wait)
+            res = decode(stepwise_job(*remote))
+            assert res.finish_reason == "stop_token" and len(res.tokens) > 1
+            assert all(s.live_sessions == 0 for s in servers)
+
+    def test_remote_decode_with_descriptors_past_select_limit(self, fusion_base, fusion_guide):
+        # select() refuses descriptor numbers from 1024 up; with 1,100
+        # descriptors held, the decode's sockets get such numbers.
+        limits = soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        room = 2048 if hard == resource.RLIM_INFINITY else min(hard, 2048)
+        if room < 1300:
+            pytest.skip(f"the descriptor hard limit {hard} leaves no room past 1,100")
+        held = []
+        try:
+            if soft != resource.RLIM_INFINITY and soft < room:
+                resource.setrlimit(resource.RLIMIT_NOFILE, (room, hard))
+            for _ in range(1100):
+                held.append(os.open(os.devnull, os.O_RDONLY))
+            with served(fusion_base, fusion_guide) as (servers, remote):
+                res = decode(stepwise_job(*remote))
+                assert res.finish_reason == "stop_token", res.error
+                assert all(s.live_sessions == 0 for s in servers)
         finally:
-            for s in servers:
-                s.stop()
+            for fd in held:
+                os.close(fd)
+            resource.setrlimit(resource.RLIMIT_NOFILE, limits)
 
     def test_in_process_transport_error_closes_every_branch(self, fusion_base, fusion_guide):
         base = RecordingSource(fusion_base)

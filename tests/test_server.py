@@ -20,6 +20,7 @@ from omniguide import (
     parse_toy_spec,
     serve,
 )
+from omniguide import client as client_module
 from omniguide.server import PROTOCOL_VERSION
 
 SPEC = """
@@ -89,14 +90,10 @@ class TestHandshake:
         assert remote.vocabulary == server.model.vocabulary
         assert remote.context_limit == 12
 
-    def test_dead_endpoint_raises_transport_error_after_retries(self):
+    def test_dead_endpoint_raises_transport_error_after_retries(self, monkeypatch):
+        monkeypatch.setattr(client_module, "RETRY_BACKOFF_S", 0.01)
         with pytest.raises(TransportError) as exc_info:
-            RemoteSource(
-                "http://127.0.0.1:9",
-                timeout=0.2,
-                handshake_retries=2,
-                retry_backoff_s=0.01,
-            )
+            RemoteSource("http://127.0.0.1:9", timeout=0.2)
         assert exc_info.value.attempts == 3
         assert "127.0.0.1:9" in exc_info.value.endpoint
 
@@ -226,6 +223,21 @@ class TestErrorCodes:
         sess.close()
 
 
+class GatedLock:
+    """A compute lock that sets entered, then takes inner."""
+
+    def __init__(self):
+        self.inner = threading.Lock()
+        self.entered = threading.Event()
+
+    def __enter__(self):
+        self.entered.set()
+        self.inner.acquire()
+
+    def __exit__(self, *exc_info):
+        self.inner.release()
+
+
 class TestConcurrency:
     def test_concurrent_steps_on_one_session_conflict(self):
         srv = serve(parse_toy_spec(SPEC), LatencyModel(per_step=0.3))
@@ -247,6 +259,36 @@ class TestConcurrency:
             assert second.json()["error"]["code"] == "conflict"
         finally:
             srv.stop()
+
+    def test_close_during_step_is_session_not_found(self, capfd):
+        # The step holds the session's lock and waits for the compute lock;
+        # a close, which takes no compute lock, ends the session meanwhile.
+        gate = GatedLock()
+        srv = serve(parse_toy_spec(SPEC), FAST, compute_lock=gate)
+        try:
+            sess = RemoteSource(srv.endpoint).open(PromptInput(tokens=(0,)))
+            outcome = {}
+
+            def step():
+                try:
+                    sess.step(1)
+                except Exception as exc:
+                    outcome["exc"] = exc
+
+            worker = threading.Thread(target=step)
+            with gate.inner:
+                gate.entered.clear()
+                worker.start()
+                assert gate.entered.wait(5)
+                assert post(srv, "close", {"session_id": sess._sid}).status_code == 200
+            worker.join(5)
+            assert isinstance(outcome.get("exc"), SessionStateError), outcome
+            assert "session_not_found" in str(outcome["exc"])
+            assert srv.live_sessions == 0
+            sess.close()
+        finally:
+            srv.stop()
+        assert capfd.readouterr().err == ""
 
     def test_distinct_sessions_step_concurrently(self, server):
         remote = RemoteSource(server.endpoint)
